@@ -1078,11 +1078,16 @@ def test_mode_preserved_across_rename(env):
 # Writeback and caching: fsync durability, O_SYNC, drop_caches, truncate vs
 # dirty pages, rename-over-open, sparse hole/extent semantics
 # ---------------------------------------------------------------------------
-def _echo_drop_caches(env, mode: int) -> None:
-    """``echo mode > /proc/sys/vm/drop_caches`` — the operator path."""
-    fd = env.sc.open("/proc/sys/vm/drop_caches", OpenFlags.O_WRONLY)
+#: Cases drop caches the operator's way, by writing this procfs file.
+DROP_CACHES = "/proc/sys/vm/drop_caches"
+
+
+def _check_write_rejected(env, path: str, payload: bytes, errno_value: int) -> None:
+    """Writing ``payload`` to the control file ``path`` fails with
+    ``errno_value``; the open itself must succeed."""
+    fd = env.sc.open(path, OpenFlags.O_WRONLY)
     try:
-        env.sc.write(fd, f"{mode}\n".encode())
+        env.check_errno(errno_value, env.sc.write, fd, payload)
     finally:
         env.sc.close(fd)
 
@@ -1096,7 +1101,7 @@ def test_fsync_survives_drop_caches(env):
         env.sc.fsync(fd)
     finally:
         env.sc.close(fd)
-    _echo_drop_caches(env, 3)
+    env.write_file(DROP_CACHES, b"3\n")
     env.check_equal(env.read_file(path), b"must survive a cache drop",
                     "fsynced data intact after drop_caches")
     env.check_equal(env.sc.stat(path).st_size, 25, "size intact")
@@ -1111,7 +1116,7 @@ def test_fdatasync_survives_drop_caches(env):
         env.sc.fdatasync(fd)
     finally:
         env.sc.close(fd)
-    _echo_drop_caches(env, 3)
+    env.write_file(DROP_CACHES, b"3\n")
     data = env.read_file(path)
     env.check_equal(len(data), 10000, "fdatasync persisted the length")
     env.check_equal(data, b"A" * 10000, "fdatasync persisted the bytes")
@@ -1128,7 +1133,7 @@ def test_o_sync_write_is_durable(env):
                         "O_SYNC leaves no unflushed dirty bytes behind")
     finally:
         env.sc.close(fd)
-    _echo_drop_caches(env, 3)
+    env.write_file(DROP_CACHES, b"3\n")
     env.check_equal(env.read_file(path), b"synchronous " * 100)
 
 
@@ -1153,7 +1158,7 @@ def test_unsynced_write_survives_drop_caches(env):
     # must still be readable afterwards.
     path = env.path("unsynced")
     env.create_file(path, b"written but never fsynced")
-    _echo_drop_caches(env, 1)
+    env.write_file(DROP_CACHES, b"1\n")
     env.check_equal(env.read_file(path), b"written but never fsynced")
 
 
@@ -1163,7 +1168,7 @@ def test_drop_caches_slab_invalidates_dentries(env):
     env.create_file(path, b"x")
     env.sc.stat(path)                        # populate the dcache
     gen_before = env.fs_under_test.dentry_gen
-    _echo_drop_caches(env, 2)
+    env.write_file(DROP_CACHES, b"2\n")
     env.check_equal(env.fs_under_test.dentry_gen, gen_before + 1,
                     "mode 2 bumps the dentry generation")
     env.check_equal(env.sc.stat(path).st_size, 1, "lookup still resolves")
@@ -1174,7 +1179,7 @@ def test_drop_caches_empties_page_cache(env):
     path = env.path("resident")
     env.create_file(path, b"B" * 16384)
     env.read_file(path)                      # make the pages resident
-    _echo_drop_caches(env, 3)
+    env.write_file(DROP_CACHES, b"3\n")
     env.check_equal(len(env.fs_under_test.page_cache), 0,
                     "mode 3 leaves no resident pages")
     env.check_equal(env.read_file(path), b"B" * 16384, "content re-readable")
@@ -1183,11 +1188,7 @@ def test_drop_caches_empties_page_cache(env):
 @generic(98, "auto", "quick", "caching")
 def test_drop_caches_rejects_invalid_values(env):
     for payload in (b"0", b"5", b"not-a-mode"):
-        fd = env.sc.open("/proc/sys/vm/drop_caches", OpenFlags.O_WRONLY)
-        try:
-            env.check_errno(errno.EINVAL, env.sc.write, fd, payload)
-        finally:
-            env.sc.close(fd)
+        _check_write_rejected(env, DROP_CACHES, payload, errno.EINVAL)
 
 
 @generic(99, "auto", "quick", "writeback")
@@ -1218,7 +1219,7 @@ def test_truncate_mid_page(env):
     path = env.path("midpage")
     env.create_file(path, b"E" * 8192)
     env.sc.truncate(path, 4500)              # cut inside the second page
-    _echo_drop_caches(env, 1)
+    env.write_file(DROP_CACHES, b"1\n")
     data = env.read_file(path)
     env.check_equal(len(data), 4500)
     env.check_equal(data, b"E" * 4500, "partial page survives exactly")
@@ -1333,7 +1334,7 @@ def test_punched_hole_survives_drop_caches(env):
                          4096, 8192)
     finally:
         env.sc.close(fd)
-    _echo_drop_caches(env, 3)
+    env.write_file(DROP_CACHES, b"3\n")
     data = env.read_file(path)
     env.check_equal(len(data), 16384, "size unchanged")
     env.check_equal(data[4096:12288], b"\x00" * 8192, "hole stays zeroed")
@@ -1349,7 +1350,7 @@ def test_sparse_write_survives_drop_caches(env):
         env.sc.pwrite(fd, b"island", 300000)
     finally:
         env.sc.close(fd)
-    _echo_drop_caches(env, 3)
+    env.write_file(DROP_CACHES, b"3\n")
     fd = env.sc.open(path, OpenFlags.O_RDONLY)
     try:
         env.check_equal(env.sc.pread(fd, 6, 300000), b"island")
@@ -1384,7 +1385,7 @@ def test_many_small_writes_one_fsync(env):
         env.sc.fsync(fd)
     finally:
         env.sc.close(fd)
-    _echo_drop_caches(env, 3)
+    env.write_file(DROP_CACHES, b"3\n")
     env.check_equal(env.read_file(path), pattern,
                     "aggregated writeback preserved every record")
 
@@ -1395,7 +1396,7 @@ def test_fsync_is_per_inode(env):
     # The descriptors stay open throughout: releasing the last descriptor is
     # itself a flush point (the FUSE client writes pending data back on
     # release), which would empty the counters this test observes.
-    _echo_drop_caches(env, 1)
+    env.write_file(DROP_CACHES, b"1\n")
     a, b = env.path("per-ino-a"), env.path("per-ino-b")
     fd_a = env.sc.open(a, CREAT_WR, 0o644)
     fd_b = env.sc.open(b, CREAT_WR, 0o644)
@@ -1427,7 +1428,7 @@ def test_append_fsync_drop_readback(env):
             env.sc.fsync(fd)
         finally:
             env.sc.close(fd)
-    _echo_drop_caches(env, 3)
+    env.write_file(DROP_CACHES, b"3\n")
     env.check_equal(env.read_file(path), b"log:one,two,three")
     env.check_equal(env.sc.stat(path).st_size, 17)
 
@@ -1476,11 +1477,7 @@ def _vm_knobs(env, **knobs):
     state = vm.snapshot()
     try:
         for name, value in knobs.items():
-            fd = env.sc.open(f"/proc/sys/vm/{name}", OpenFlags.O_WRONLY)
-            try:
-                env.sc.write(fd, f"{value}\n".encode())
-            finally:
-                env.sc.close(fd)
+            env.write_file(f"/proc/sys/vm/{name}", f"{value}\n".encode())
         yield vm
     finally:
         vm.restore(state)
@@ -1526,7 +1523,7 @@ def test_reclaim_flushes_dirty_pages_before_dropping(env):
     old_payload = b"".join(bytes([i % 251]) * 1024 for i in range(64))   # 64 KiB
     big_payload = b"".join(bytes([i % 199]) * 1024 for i in range(512))  # 512 KiB
     with _vm_knobs(env, dirty_background_bytes=0, dirty_bytes=0):
-        _echo_drop_caches(env, 3)
+        env.write_file(DROP_CACHES, b"3\n")
         with _reclaim_budget(env, slack_bytes=128 << 10):
             flushed_before = vm.reclaim_stats.pages_flushed
             reclaim_before = engine.stats.flushes_by_reason.get("reclaim", 0)
@@ -1558,7 +1555,7 @@ def test_drop_caches_vs_reclaim_interaction(env):
         env.create_file(env.path("pressure-a"), b"A" * (1 << 20))
         env.check(vm.reclaim_stats.reclaims > passes_start,
                   "outgrowing the budget reclaims")
-        _echo_drop_caches(env, 1)
+        env.write_file(DROP_CACHES, b"1\n")
         env.check_equal(vm.cached_bytes_total(), 0,
                         "drop_caches leaves no resident pages")
         passes_before = vm.reclaim_stats.reclaims
@@ -1638,11 +1635,7 @@ def test_invalid_vm_sysctl_values_einval(env):
                           ("vfs_cache_pressure", b"-100"),
                           ("dirty_writeback_centisecs", b"not-a-number")):
         before = env.machine.kernel.vm.get(knob)
-        fd = env.sc.open(f"/proc/sys/vm/{knob}", OpenFlags.O_WRONLY)
-        try:
-            env.check_errno(errno.EINVAL, env.sc.write, fd, payload)
-        finally:
-            env.sc.close(fd)
+        _check_write_rejected(env, f"/proc/sys/vm/{knob}", payload, errno.EINVAL)
         env.check_equal(env.machine.kernel.vm.get(knob), before,
                         f"rejected write left vm.{knob} untouched")
 
@@ -1720,7 +1713,7 @@ def _count_shaped_fetches(env, path: str, chunk: int = 16 << 10) -> int:
     """Cold sequential read of ``path`` in ``chunk``-sized preads, returning
     the number of backing-device fetches (BDI shaped-read count)."""
     bdi = env.fs_under_test.writeback.bdi
-    _echo_drop_caches(env, 1)
+    env.write_file(DROP_CACHES, b"1\n")
     before = bdi.stats.shaped_reads
     size = env.sc.stat(path).st_size
     fd = env.sc.open(path, OpenFlags.O_RDONLY)
@@ -1745,11 +1738,7 @@ def _read_shaping(env, read_ahead_kb: int | None):
     bdi.read_bandwidth_bytes_s = 100 << 30          # ~free, but counted
     try:
         if read_ahead_kb is not None:
-            fd = env.sc.open(knob_path, OpenFlags.O_WRONLY)
-            try:
-                env.sc.write(fd, f"{read_ahead_kb}\n".encode())
-            finally:
-                env.sc.close(fd)
+            env.write_file(knob_path, f"{read_ahead_kb}\n".encode())
         yield bdi
     finally:
         bdi.read_bandwidth_bytes_s, bdi.read_ahead_kb = saved
@@ -1784,28 +1773,13 @@ def test_read_ahead_sysfs_file_round_trip(env):
     """The sysfs knob reads back what was written and rejects bad input."""
     bdi, knob_path = _bdi_and_sysfs_path(env)
     saved = bdi.read_ahead_kb
-
-    def read_knob() -> bytes:
-        fd = env.sc.open(knob_path, OpenFlags.O_RDONLY)
-        try:
-            return env.sc.read(fd, 64)
-        finally:
-            env.sc.close(fd)
-
     try:
-        fd = env.sc.open(knob_path, OpenFlags.O_WRONLY)
-        try:
-            env.sc.write(fd, b"512\n")
-        finally:
-            env.sc.close(fd)
-        env.check_equal(read_knob(), b"512\n", "knob reads back the write")
+        env.write_file(knob_path, b"512\n")
+        env.check_equal(env.read_file(knob_path, 64), b"512\n",
+                        "knob reads back the write")
         env.check_equal(bdi.read_ahead_kb, 512, "the live BDI object follows")
         for payload in (b"-1", b"words"):
-            fd = env.sc.open(knob_path, OpenFlags.O_WRONLY)
-            try:
-                env.check_errno(errno.EINVAL, env.sc.write, fd, payload)
-            finally:
-                env.sc.close(fd)
+            _check_write_rejected(env, knob_path, payload, errno.EINVAL)
         env.check_equal(bdi.read_ahead_kb, 512, "rejected writes change nothing")
         env.check_errno(errno.ENOENT, env.sc.stat,
                         "/sys/class/bdi/no-such-device/read_ahead_kb")
@@ -1821,7 +1795,7 @@ def test_read_bandwidth_shapes_cold_reads(env):
     env.create_file(path, b"J" * (256 << 10))
     bdi = env.fs_under_test.writeback.bdi
     saved = bdi.read_bandwidth_bytes_s
-    _echo_drop_caches(env, 1)
+    env.write_file(DROP_CACHES, b"1\n")
     bdi.read_bandwidth_bytes_s = 50 << 20           # 50 MiB/s
     try:
         busy_before = bdi.stats.read_busy_ns
@@ -1864,7 +1838,7 @@ def test_reclaim_then_drop_caches_settles_clean(env):
     with _reclaim_budget(env, slack_bytes=128 << 10) as vm:
         path = env.path("settle")
         env.create_file(path, payload)
-        _echo_drop_caches(env, 3)
+        env.write_file(DROP_CACHES, b"3\n")
         env.check_equal(vm.cached_bytes_total(), 0, "drop emptied the caches")
         budget = vm.cache_budget_bytes()
         env.check(budget is not None and budget >= 0, "budget stays defined")
@@ -1877,25 +1851,9 @@ def test_reclaim_then_drop_caches_settles_clean(env):
 CGROUPFS = "/sys/fs/cgroup"
 
 
-def _cg_file_write(env, path: str, payload: bytes) -> None:
-    fd = env.sc.open(path, OpenFlags.O_WRONLY)
-    try:
-        env.sc.write(fd, payload)
-    finally:
-        env.sc.close(fd)
-
-
-def _cg_file_read(env, path: str) -> bytes:
-    fd = env.sc.open(path, OpenFlags.O_RDONLY)
-    try:
-        return env.sc.read(fd, 1 << 14)
-    finally:
-        env.sc.close(fd)
-
-
 def _memcg_stat(env, cg_dir: str) -> dict[str, int]:
     """Parse a cgroup's ``memory.stat`` into a dict."""
-    text = _cg_file_read(env, f"{cg_dir}/memory.stat").decode()
+    text = env.read_file(f"{cg_dir}/memory.stat", 1 << 14).decode()
     return {line.split()[0]: int(line.split()[1])
             for line in text.splitlines() if line}
 
@@ -1914,15 +1872,15 @@ def _memcg(env, max_bytes: int | None = None, high_bytes: int | None = None,
     env.sc.mkdir(cg_dir)
     try:
         if max_bytes is not None:
-            _cg_file_write(env, f"{cg_dir}/memory.max", f"{max_bytes}\n".encode())
+            env.write_file(f"{cg_dir}/memory.max", f"{max_bytes}\n".encode())
         if high_bytes is not None:
-            _cg_file_write(env, f"{cg_dir}/memory.high", f"{high_bytes}\n".encode())
+            env.write_file(f"{cg_dir}/memory.high", f"{high_bytes}\n".encode())
         if attach:
-            _cg_file_write(env, f"{cg_dir}/cgroup.procs", f"{pid}\n".encode())
+            env.write_file(f"{cg_dir}/cgroup.procs", f"{pid}\n".encode())
         yield kernel.cgroups.lookup(f"/{name}"), cg_dir
     finally:
         procs_file = f"{CGROUPFS}{original.rstrip('/')}/cgroup.procs"
-        _cg_file_write(env, procs_file, f"{pid}\n".encode())
+        env.write_file(procs_file, f"{pid}\n".encode())
         env.sc.rmdir(cg_dir)
 
 
@@ -1931,16 +1889,16 @@ def test_memory_current_tracks_page_cache(env):
     """memory.current follows the cgroup's page-cache charges exactly: zero
     at creation, the written bytes while resident, zero after drop_caches."""
     with _memcg(env) as (cgroup, cg_dir):
-        env.check_equal(_cg_file_read(env, f"{cg_dir}/memory.current"), b"0\n",
+        env.check_equal(env.read_file(f"{cg_dir}/memory.current", 1 << 14), b"0\n",
                         "a fresh cgroup holds no charges")
         env.create_file(env.path("charged"), b"C" * (256 << 10))
-        current = int(_cg_file_read(env, f"{cg_dir}/memory.current"))
+        current = int(env.read_file(f"{cg_dir}/memory.current", 1 << 14))
         env.check_equal(current, 256 << 10,
                         "memory.current charges the written pages")
         env.check_equal(current, cgroup.mem_cache_bytes,
                         "the file renders the live counter")
-        _echo_drop_caches(env, 1)
-        env.check_equal(int(_cg_file_read(env, f"{cg_dir}/memory.current")), 0,
+        env.write_file(DROP_CACHES, b"1\n")
+        env.check_equal(int(env.read_file(f"{cg_dir}/memory.current", 1 << 14)), 0,
                         "dropping the caches uncharges everything")
 
 
@@ -1966,7 +1924,7 @@ def test_memcg_charge_uncharge_conservation(env):
                   "a child's charges are part of the root's")
         env.read_file(env.path("conserve"))
         check("after re-reading")
-    _echo_drop_caches(env, 1)
+    env.write_file(DROP_CACHES, b"1\n")
     check("after drop_caches")
 
 
@@ -1978,7 +1936,7 @@ def test_memory_max_honoured_by_reclaim(env):
     with _memcg(env, max_bytes=256 << 10) as (cgroup, cg_dir):
         path = env.path("bounded")
         env.create_file(path, payload)
-        current = int(_cg_file_read(env, f"{cg_dir}/memory.current"))
+        current = int(env.read_file(f"{cg_dir}/memory.current", 1 << 14))
         env.check(current <= 256 << 10,
                   f"memory.current {current} exceeds memory.max")
         env.check(cgroup.memcg_stats.pages_reclaimed > 0,
@@ -1993,8 +1951,8 @@ def test_memory_max_zero_and_max_mean_unlimited(env):
     the knob reads back "max"."""
     with _memcg(env) as (cgroup, cg_dir):
         for sentinel in (b"0\n", b"max\n"):
-            _cg_file_write(env, f"{cg_dir}/memory.max", sentinel)
-            env.check_equal(_cg_file_read(env, f"{cg_dir}/memory.max"), b"max\n",
+            env.write_file(f"{cg_dir}/memory.max", sentinel)
+            env.check_equal(env.read_file(f"{cg_dir}/memory.max", 1 << 14), b"max\n",
                             f"{sentinel!r} reads back as unlimited")
             env.create_file(env.path(env.unique_name("unlimited")),
                             b"U" * (512 << 10))
@@ -2014,9 +1972,9 @@ def test_memcg_hierarchy_tightest_limit_wins(env):
     env.sc.mkdir(parent_dir)
     env.sc.mkdir(child_dir)
     try:
-        _cg_file_write(env, f"{parent_dir}/memory.max", b"131072\n")
-        _cg_file_write(env, f"{child_dir}/memory.max", b"1048576\n")
-        _cg_file_write(env, f"{child_dir}/cgroup.procs", f"{pid}\n".encode())
+        env.write_file(f"{parent_dir}/memory.max", b"131072\n")
+        env.write_file(f"{child_dir}/memory.max", b"1048576\n")
+        env.write_file(f"{child_dir}/cgroup.procs", f"{pid}\n".encode())
         child = kernel.cgroups.cgroup_of(pid)
         env.check_equal(child.effective_memory_limit(), 131072,
                         "the parent's tighter limit is the effective one")
@@ -2029,7 +1987,7 @@ def test_memcg_hierarchy_tightest_limit_wins(env):
         env.check(parent.memcg_stats.pages_reclaimed > 0,
                   "the over-limit parent did the reclaiming")
     finally:
-        _cg_file_write(env, f"{CGROUPFS}{original.rstrip('/')}/cgroup.procs",
+        env.write_file(f"{CGROUPFS}{original.rstrip('/')}/cgroup.procs",
                        f"{pid}\n".encode())
         env.sc.rmdir(child_dir)
         env.sc.rmdir(parent_dir)
@@ -2141,19 +2099,11 @@ def test_memcg_file_validation(env):
     with _memcg(env, attach=False) as (_cgroup, cg_dir):
         for knob in ("memory.max", "memory.high"):
             for payload in (b"-1", b"words", b"1.5"):
-                fd = env.sc.open(f"{cg_dir}/{knob}", OpenFlags.O_WRONLY)
-                try:
-                    env.check_errno(errno.EINVAL, env.sc.write, fd, payload)
-                finally:
-                    env.sc.close(fd)
-            env.check_equal(_cg_file_read(env, f"{cg_dir}/{knob}"), b"max\n",
+                _check_write_rejected(env, f"{cg_dir}/{knob}", payload, errno.EINVAL)
+            env.check_equal(env.read_file(f"{cg_dir}/{knob}", 1 << 14), b"max\n",
                             f"rejected writes left {knob} untouched")
         for readonly in ("memory.current", "memory.peak", "memory.stat"):
-            fd = env.sc.open(f"{cg_dir}/{readonly}", OpenFlags.O_WRONLY)
-            try:
-                env.check_errno(errno.EACCES, env.sc.write, fd, b"1")
-            finally:
-                env.sc.close(fd)
+            _check_write_rejected(env, f"{cg_dir}/{readonly}", b"1", errno.EACCES)
         fd = env.sc.open(f"{cg_dir}/cgroup.procs", OpenFlags.O_WRONLY)
         try:
             env.check_errno(errno.ESRCH, env.sc.write, fd, b"999999")
@@ -2169,7 +2119,7 @@ def test_memory_max_below_usage_reclaims_synchronously(env):
     with _memcg(env) as (cgroup, cg_dir):
         env.create_file(env.path("pre-grown"), b"P" * (512 << 10))
         env.check_equal(cgroup.mem_cache_bytes, 512 << 10, "fully charged")
-        _cg_file_write(env, f"{cg_dir}/memory.max", b"131072\n")
+        env.write_file(f"{cg_dir}/memory.max", b"131072\n")
         env.check(cgroup.mem_cache_bytes <= 131072,
                   "the write itself reclaimed the excess")
         env.check(cgroup.memcg_stats.pages_reclaimed >= (384 << 10) // 4096,
@@ -2209,7 +2159,7 @@ def test_cgroup_procs_round_trip(env):
     tools."""
     pid = env.sc.process.pid
     with _memcg(env) as (cgroup, cg_dir):
-        procs = _cg_file_read(env, f"{cg_dir}/cgroup.procs").decode()
+        procs = env.read_file(f"{cg_dir}/cgroup.procs", 1 << 14).decode()
         env.check(str(pid) in procs.split(), "cgroup.procs lists the member")
         proc_line = env.read_file(f"/proc/{pid}/cgroup").decode().strip()
         env.check_equal(proc_line, f"0::{cgroup.path}",
@@ -2233,9 +2183,9 @@ def test_cgroupfs_mkdir_rmdir_semantics(env):
                     "mkdir created the cgroup in the live hierarchy")
     env.check("nested" in env.sc.listdir(cg_dir), "readdir shows the child")
     env.check_errno(errno.EBUSY, env.sc.rmdir, cg_dir)      # has a child
-    _cg_file_write(env, f"{cg_dir}/nested/cgroup.procs", f"{pid}\n".encode())
+    env.write_file(f"{cg_dir}/nested/cgroup.procs", f"{pid}\n".encode())
     env.check_errno(errno.EBUSY, env.sc.rmdir, f"{cg_dir}/nested")  # has a proc
-    _cg_file_write(env, f"{CGROUPFS}{original.rstrip('/')}/cgroup.procs",
+    env.write_file(f"{CGROUPFS}{original.rstrip('/')}/cgroup.procs",
                    f"{pid}\n".encode())
     env.sc.rmdir(f"{cg_dir}/nested")
     env.sc.rmdir(cg_dir)
@@ -2249,15 +2199,15 @@ def test_memory_peak_high_watermark(env):
     uncharging and only ever rises."""
     with _memcg(env) as (_cgroup, cg_dir):
         env.create_file(env.path("peak-a"), b"A" * (256 << 10))
-        peak = int(_cg_file_read(env, f"{cg_dir}/memory.peak"))
+        peak = int(env.read_file(f"{cg_dir}/memory.peak", 1 << 14))
         env.check(peak >= 256 << 10, "the peak covers the first burst")
-        _echo_drop_caches(env, 1)
-        env.check_equal(int(_cg_file_read(env, f"{cg_dir}/memory.current")), 0,
+        env.write_file(DROP_CACHES, b"1\n")
+        env.check_equal(int(env.read_file(f"{cg_dir}/memory.current", 1 << 14)), 0,
                         "the charges are gone")
-        env.check_equal(int(_cg_file_read(env, f"{cg_dir}/memory.peak")), peak,
+        env.check_equal(int(env.read_file(f"{cg_dir}/memory.peak", 1 << 14)), peak,
                         "the watermark survives the uncharge")
         env.create_file(env.path("peak-b"), b"B" * (512 << 10))
-        env.check(int(_cg_file_read(env, f"{cg_dir}/memory.peak")) >= 512 << 10,
+        env.check(int(env.read_file(f"{cg_dir}/memory.peak", 1 << 14)) >= 512 << 10,
                   "a larger burst raises the watermark")
 
 
@@ -3090,7 +3040,7 @@ def _psi_read(env, path: str) -> dict[str, dict[str, int]]:
     """Parse a pressure file into ``{kind: {avg10/avg60/avg300, total}}``
     with the averages as integer percent*100 and the total in microseconds."""
     out: dict[str, dict[str, int]] = {}
-    for line in _cg_file_read(env, path).decode().splitlines():
+    for line in env.read_file(path, 1 << 14).decode().splitlines():
         fields = line.split()
         row: dict[str, int] = {}
         for field in fields[1:]:
@@ -3152,14 +3102,13 @@ def test_psi_files_exist_and_parse(env):
             env.check_equal(sorted(psi), ["full", "some"], f"{name} kinds")
             env.check_equal(psi["some"]["total"], 0,
                             f"a fresh cgroup has no {name} stalls")
-        env.check_equal(_cg_file_read(env, f"{cg_dir}/io.stat"), b"",
+        env.check_equal(env.read_file(f"{cg_dir}/io.stat", 1 << 14), b"",
                         "a fresh cgroup has no io.stat rows")
-        env.check_errno(errno.EACCES, _cg_file_write, env,
-                        f"{cg_dir}/memory.pressure", b"0\n")
-    events = _cg_file_read(env, f"{TRACEFS}/available_events").decode().split()
+        _check_write_rejected(env, f"{cg_dir}/memory.pressure", b"0\n", errno.EACCES)
+    events = env.read_file(f"{TRACEFS}/available_events", 1 << 14).decode().split()
     for name in CORE_TRACEPOINT_NAMES:
         env.check(name in events, f"{name} is declared in available_events")
-    env.check_equal(_cg_file_read(env, f"{TRACEFS}/tracing_on"), b"0\n",
+    env.check_equal(env.read_file(f"{TRACEFS}/tracing_on", 1 << 14), b"0\n",
                     "tracing starts disabled")
 
 
@@ -3179,10 +3128,10 @@ def test_psi_cpu_decomposes_into_wait_and_throttle(env):
     name = env.unique_name("psi-capped")
     cg_dir = f"{CGROUPFS}/{name}"
     env.sc.mkdir(cg_dir)
-    _cg_file_write(env, f"{cg_dir}/cpu.max", b"1000 10000")
+    env.write_file(f"{cg_dir}/cpu.max", b"1000 10000")
     capped = env.machine.spawn_host_process(["/usr/bin/capped-tenant"])
     free = env.machine.spawn_host_process(["/usr/bin/free-tenant"])
-    _cg_file_write(env, f"{cg_dir}/cgroup.procs",
+    env.write_file(f"{cg_dir}/cgroup.procs",
                    f"{capped.process.pid}\n".encode())
     try:
         def spinner(ops, op_ns=100_000):
@@ -3215,7 +3164,7 @@ def test_psi_cpu_decomposes_into_wait_and_throttle(env):
                   "the capped cgroup saw its own cpu pressure")
     finally:
         root_procs = f"{CGROUPFS}/cgroup.procs"
-        _cg_file_write(env, root_procs, f"{capped.process.pid}\n".encode())
+        env.write_file(root_procs, f"{capped.process.pid}\n".encode())
         env.sc.rmdir(cg_dir)
 
 
@@ -3246,7 +3195,7 @@ def test_psi_memory_decomposes_into_throttle_and_reclaim(env):
                       "writing past memory.high stalled the writer")
             # Lowering memory.max below usage reclaims synchronously; the
             # pages are still dirty, so the reclaim pays flush time.
-            _cg_file_write(env, f"{cg_dir}/memory.max", b"65536\n")
+            env.write_file(f"{cg_dir}/memory.max", b"65536\n")
             reclaim = _sum_cgroup(
                 env,
                 lambda n: n.memcg_stats.reclaim_cost_ns) - base_reclaim
@@ -3297,7 +3246,7 @@ def test_psi_io_decomposes_into_shaping_and_throttle(env):
         env.make_durable()
         env.check(bdi.stats.busy_ns > busy_before,
                   "the shaped flush charged write busy time")
-        _echo_drop_caches(env, 1)
+        env.write_file(DROP_CACHES, b"1\n")
         env.check_equal(env.read_file(path), payload,
                         "shaped round trip preserves the data")
         env.check(bdi.stats.read_busy_ns > read_before,
@@ -3330,7 +3279,7 @@ def test_vmstat_and_io_stat_track_writeback(env):
     kernel = env.machine.kernel
 
     def vmstat() -> dict[str, int]:
-        text = _cg_file_read(env, "/proc/vmstat").decode()
+        text = env.read_file("/proc/vmstat", 1 << 14).decode()
         return {line.split()[0]: int(line.split()[1])
                 for line in text.splitlines() if line}
 
@@ -3351,7 +3300,7 @@ def test_vmstat_and_io_stat_track_writeback(env):
         env.check(after["nr_dirtied"] >= after["nr_written"],
                   "the dirtied/written invariant survives the sync")
         rows: dict[str, dict[str, int]] = {}
-        for line in _cg_file_read(env, f"{cg_dir}/io.stat").decode().splitlines():
+        for line in env.read_file(f"{cg_dir}/io.stat", 1 << 14).decode().splitlines():
             dev, _, rest = line.partition(" ")
             rows[dev] = {key: int(value) for key, value in
                          (field.split("=") for field in rest.split())}
@@ -3362,11 +3311,11 @@ def test_vmstat_and_io_stat_track_writeback(env):
         root_stats = kernel.cgroups.root.io_stats[device]
         env.check(root_stats.wbytes >= rows[device]["wbytes"],
                   "the root cgroup aggregates the child's write charges")
-        _echo_drop_caches(env, 1)
+        env.write_file(DROP_CACHES, b"1\n")
         env.check_equal(env.read_file(env.path("psi-counted")), payload,
                         "the cold read round-trips")
         refreshed = {}
-        for line in _cg_file_read(env, f"{cg_dir}/io.stat").decode().splitlines():
+        for line in env.read_file(f"{cg_dir}/io.stat", 1 << 14).decode().splitlines():
             dev, _, rest = line.partition(" ")
             refreshed[dev] = {key: int(value) for key, value in
                               (field.split("=") for field in rest.split())}
@@ -3384,20 +3333,17 @@ def test_tracefs_controls_collection(env):
     tracer = env.machine.kernel.tracer
 
     def trace_lines() -> list[str]:
-        return _cg_file_read(env, f"{TRACEFS}/trace").decode().splitlines()
+        return env.read_file(f"{TRACEFS}/trace", 1 << 14).decode().splitlines()
 
-    env.check_errno(errno.EINVAL, _cg_file_write, env,
-                    f"{TRACEFS}/tracing_on", b"2\n")
-    env.check_errno(errno.EACCES, _cg_file_write, env,
-                    f"{TRACEFS}/available_events", b"x\n")
-    env.check_errno(errno.EINVAL, _cg_file_write, env,
-                    f"{TRACEFS}/set_event", b"not-category-dot-name\n")
+    _check_write_rejected(env, f"{TRACEFS}/tracing_on", b"2\n", errno.EINVAL)
+    _check_write_rejected(env, f"{TRACEFS}/available_events", b"x\n", errno.EACCES)
+    _check_write_rejected(env, f"{TRACEFS}/set_event", b"not-category-dot-name\n", errno.EINVAL)
 
     saved_capacity = tracer.capacity
     try:
         # Per-tracepoint gating: only writeback.flush is collected.
-        _cg_file_write(env, f"{TRACEFS}/set_event", b"writeback.flush\n")
-        env.check_equal(_cg_file_read(env, f"{TRACEFS}/set_event"),
+        env.write_file(f"{TRACEFS}/set_event", b"writeback.flush\n")
+        env.check_equal(env.read_file(f"{TRACEFS}/set_event", 1 << 14),
                         b"writeback.flush\n", "set_event echoes the filter")
         env.create_file(env.path("psi-traced"), b"T" * 8192)
         env.make_durable()
@@ -3411,15 +3357,15 @@ def test_tracefs_controls_collection(env):
                       if not line.startswith("#")),
                   "nothing outside the filter was collected")
         # Disable the tracepoint, clear the ring through the file.
-        _cg_file_write(env, f"{TRACEFS}/set_event", b"!writeback.flush\n")
-        _cg_file_write(env, f"{TRACEFS}/trace", b"\n")
+        env.write_file(f"{TRACEFS}/set_event", b"!writeback.flush\n")
+        env.write_file(f"{TRACEFS}/trace", b"\n")
         env.check_equal(tracer.count("writeback.flush"), 0,
                         "echo > trace cleared the ring and counters")
-        env.check_equal(_cg_file_read(env, f"{TRACEFS}/set_event"), b"",
+        env.check_equal(env.read_file(f"{TRACEFS}/set_event", 1 << 14), b"",
                         "!name removed the tracepoint from the filter")
         # Global switch + bounded ring: fsync storms overflow capacity 4.
         tracer.capacity = 4
-        _cg_file_write(env, f"{TRACEFS}/tracing_on", b"1\n")
+        env.write_file(f"{TRACEFS}/tracing_on", b"1\n")
         fd = env.sc.open(env.path("psi-dropper"), CREAT_WR, 0o644)
         try:
             for _ in range(8):
@@ -3427,8 +3373,8 @@ def test_tracefs_controls_collection(env):
                 env.sc.fsync(fd)
         finally:
             env.sc.close(fd)
-        _cg_file_write(env, f"{TRACEFS}/tracing_on", b"0\n")
-        env.check_equal(_cg_file_read(env, f"{TRACEFS}/tracing_on"), b"0\n",
+        env.write_file(f"{TRACEFS}/tracing_on", b"0\n")
+        env.check_equal(env.read_file(f"{TRACEFS}/tracing_on", 1 << 14), b"0\n",
                         "tracing_on reads back the switch")
         env.check(tracer.dropped > 0,
                   "events past the ring capacity counted as drops")

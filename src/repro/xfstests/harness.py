@@ -24,15 +24,6 @@ class TestFailure(AssertionError):
     """Raised by a test when an expectation is violated."""
 
 
-class TestNotSupported(Exception):
-    """Raised by a test when the filesystem under test lacks a required feature.
-
-    xfstests reports these as "notrun"; the paper's accounting counts the four
-    CntrFS-specific cases as failures of the full generic group, so the runner
-    can be configured either way.
-    """
-
-
 @dataclass(frozen=True)
 class TestCase:
     """One registered generic test."""
@@ -53,7 +44,7 @@ class TestResult:
     """Outcome of one test."""
 
     case: TestCase
-    status: str              # "pass" | "fail" | "notrun"
+    status: str              # "pass" | "fail"
     message: str = ""
 
     @property
@@ -106,14 +97,19 @@ class TestEnvironment:
         finally:
             self.sc.close(fd)
 
+    def write_file(self, path: str, payload: bytes) -> None:
+        """One ``write`` to an existing file — ``echo payload > path`` on a
+        procfs, sysfs, cgroupfs or tracefs control file."""
+        fd = self.sc.open(path, OpenFlags.O_WRONLY)
+        try:
+            self.sc.write(fd, payload)
+        finally:
+            self.sc.close(fd)
+
     # ------------------------------------------------------------- crash model
     def make_durable(self) -> None:
         """``sync`` the filesystem under test: everything before this call is
-        on stable storage and must survive a subsequent :meth:`power_fail`.
-
-        Crash cases in the shared environment call this first so state left
-        behind by *earlier* cases is pinned down before the power goes out.
-        """
+        on stable storage and must survive a subsequent :meth:`power_fail`."""
         self.fs_under_test.sync()
 
     def power_fail(self) -> None:
@@ -239,6 +235,33 @@ class EnvironmentSnapshot:
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
+def run_case(case: TestCase, env: TestEnvironment) -> TestResult:
+    """Run one case in its own ``generic-NNN`` directory under ``env``'s test
+    directory and classify the outcome.
+
+    The case passes when it returns.  A :class:`TestFailure` or
+    :class:`FsError` fails it with the exception's message; any other
+    exception fails it with the exception and a short traceback.  ``env``
+    should be used for this one case only, e.g. a fresh
+    :meth:`EnvironmentSnapshot.fork`.
+    """
+    workdir = f"{env.test_dir}/{case.test_id.replace('/', '-')}"
+    sandboxed = TestEnvironment(name=env.name, machine=env.machine, sc=env.sc,
+                                test_dir=workdir, scratch_dir=env.scratch_dir,
+                                fs_under_test=env.fs_under_test,
+                                is_cntrfs=env.is_cntrfs)
+    try:
+        env.sc.makedirs(workdir)
+        case.func(sandboxed)
+    except (TestFailure, FsError) as exc:
+        return TestResult(case=case, status="fail", message=str(exc))
+    except Exception as exc:  # noqa: BLE001 - report unexpected errors as failures
+        return TestResult(case=case, status="fail",
+                          message=f"unexpected error: {exc!r}\n"
+                                  f"{traceback.format_exc(limit=3)}")
+    return TestResult(case=case, status="pass")
+
+
 @dataclass
 class RunSummary:
     """Aggregate result of one xfstests run."""
@@ -254,17 +277,12 @@ class RunSummary:
     @property
     def passed(self) -> int:
         """Number of passing tests."""
-        return sum(1 for r in self.results if r.status == "pass")
+        return sum(1 for r in self.results if r.passed)
 
     @property
     def failed(self) -> int:
         """Number of failing tests."""
-        return sum(1 for r in self.results if r.status == "fail")
-
-    @property
-    def notrun(self) -> int:
-        """Number of skipped tests."""
-        return sum(1 for r in self.results if r.status == "notrun")
+        return self.total - self.passed
 
     @property
     def pass_rate(self) -> float:
@@ -272,84 +290,34 @@ class RunSummary:
         return self.passed / self.total if self.total else 0.0
 
     def failing_ids(self) -> list[str]:
-        """xfstests identifiers of the non-passing tests."""
-        return [r.case.test_id for r in self.results if r.status != "pass"]
+        """xfstests identifiers of the failing tests."""
+        return [r.case.test_id for r in self.results if not r.passed]
 
     def format_table(self) -> str:
-        """Render a short report like the one in EXPERIMENTS.md."""
+        """Render the pass count and one line per failing test."""
         lines = [f"xfstests generic group on {self.environment}",
                  f"  passed {self.passed}/{self.total} "
-                 f"({self.pass_rate * 100:.2f}%), failed {self.failed}, "
-                 f"not run {self.notrun}"]
+                 f"({self.pass_rate * 100:.2f}%), failed {self.failed}"]
         for result in self.results:
-            if result.status != "pass":
+            if not result.passed:
                 lines.append(f"  {result.case.test_id} [{result.status}] "
                              f"{result.case.name}: {result.message}")
         return "\n".join(lines)
 
 
 class XfstestsRunner:
-    """Runs the registered generic tests against one environment."""
+    """Runs generic tests against one environment, each case on its own fork
+    of a single pre-booted :class:`EnvironmentSnapshot`."""
 
-    def __init__(self, env_factory: Callable[[], TestEnvironment],
-                 fresh_env_per_test: bool = False,
-                 snapshot_per_test: bool = True,
-                 notrun_counts_as_failure: bool = True) -> None:
+    def __init__(self, env_factory: Callable[[], TestEnvironment]) -> None:
         self.env_factory = env_factory
-        self.fresh_env_per_test = fresh_env_per_test
-        #: Clone each case's environment from one pre-booted snapshot instead
-        #: of sharing a single mutable environment across all cases.  Isolation
-        #: of ``fresh_env_per_test`` at a fraction of the wall-clock cost;
-        #: ignored when ``fresh_env_per_test`` explicitly asks for re-boots.
-        self.snapshot_per_test = snapshot_per_test
-        self.notrun_counts_as_failure = notrun_counts_as_failure
 
-    def run(self, cases=None, group: str | None = None) -> RunSummary:
-        """Execute the tests and return a summary."""
+    def run(self, cases=None) -> RunSummary:
+        """Run ``cases`` (default: the whole generic group) and summarise."""
         from repro.xfstests.generic import GENERIC_TESTS
 
-        cases = list(cases if cases is not None else GENERIC_TESTS)
-        if group:
-            cases = [c for c in cases if group in c.groups]
-        env = None
-        snapshot = None
-        if not self.fresh_env_per_test:
-            env = self.env_factory()
-            if self.snapshot_per_test:
-                snapshot = EnvironmentSnapshot(env)
-        summary = RunSummary(environment=env.name if env else "per-test")
-        for case in cases:
-            if self.fresh_env_per_test:
-                test_env = self.env_factory()
-            elif snapshot is not None:
-                test_env = snapshot.fork()
-            else:
-                test_env = env
-            assert test_env is not None
-            summary.results.append(self._run_one(case, test_env))
-        if env is not None:
-            summary.environment = env.name
-        return summary
-
-    def _run_one(self, case: TestCase, env: TestEnvironment) -> TestResult:
-        workdir = f"{env.test_dir}/{case.test_id.replace('/', '-')}"
-        try:
-            env.sc.makedirs(workdir)
-        except FsError:
-            pass
-        sandboxed = TestEnvironment(name=env.name, machine=env.machine, sc=env.sc,
-                                    test_dir=workdir, scratch_dir=env.scratch_dir,
-                                    fs_under_test=env.fs_under_test,
-                                    is_cntrfs=env.is_cntrfs)
-        try:
-            case.func(sandboxed)
-            return TestResult(case=case, status="pass")
-        except TestNotSupported as exc:
-            status = "fail" if self.notrun_counts_as_failure else "notrun"
-            return TestResult(case=case, status=status, message=str(exc))
-        except (TestFailure, FsError) as exc:
-            return TestResult(case=case, status="fail", message=str(exc))
-        except Exception as exc:  # noqa: BLE001 - report unexpected errors as failures
-            return TestResult(case=case, status="fail",
-                              message=f"unexpected error: {exc!r}\n"
-                                      f"{traceback.format_exc(limit=3)}")
+        env = self.env_factory()
+        snapshot = EnvironmentSnapshot(env)
+        return RunSummary(environment=env.name,
+                          results=[run_case(case, snapshot.fork())
+                                   for case in (GENERIC_TESTS if cases is None else cases)])

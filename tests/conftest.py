@@ -5,6 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel.machine import boot_forked
+from repro.xfstests import harness
+from repro.xfstests.generic import PAPER_FAILING_TESTS
+
+XFSTESTS_ENVIRONMENTS = {"native": harness.native_environment,
+                         "cntrfs": harness.cntrfs_environment}
 
 
 @pytest.fixture()
@@ -17,3 +22,22 @@ def machine():
 def syscalls(machine):
     """A syscall facade for a host process forked off init."""
     return machine.spawn_host_process(["/usr/bin/test-process"])
+
+
+@pytest.fixture(scope="module", params=list(XFSTESTS_ENVIRONMENTS))
+def check_generic_case(request):
+    """Run one xfstests generic case and assert its verdict, on each environment.
+
+    The case runs through :func:`harness.run_case` on a fresh fork of a
+    module-scoped snapshot.  It must pass, except that the four
+    ``PAPER_FAILING_TESTS`` must fail on CntrFS (paper §5.1).
+    """
+    snapshot = harness.EnvironmentSnapshot(XFSTESTS_ENVIRONMENTS[request.param]())
+
+    def check(case):
+        env = snapshot.fork()
+        result = harness.run_case(case, env)
+        paper_failure = env.is_cntrfs and case.test_id in PAPER_FAILING_TESTS
+        assert result.status == ("fail" if paper_failure else "pass"), result.message
+
+    return check

@@ -9,7 +9,7 @@ from repro.fs.errors import FsError
 from repro.fs.tmpfs import TmpFS
 from repro.fuse.options import FuseMountOptions
 from repro.fuse.protocol import FuseOpcode
-from repro.xfstests.harness import cntrfs_environment, native_environment
+from repro.xfstests.harness import cntrfs_environment
 
 
 class TestVfsThroughSyscalls:
@@ -278,18 +278,3 @@ class TestMountOptions:
         assert client.connection.stats.requests_by_opcode.get("READ", 0) >= 2
         assert resident_before >= 0
 
-
-class TestXfstestsSuite:
-    def test_native_passes_everything(self):
-        from repro.xfstests import XfstestsRunner
-        summary = XfstestsRunner(native_environment).run()
-        assert summary.total == 209
-        assert summary.passed == 209, summary.format_table()
-
-    def test_cntrfs_matches_paper_pass_rate(self):
-        from repro.xfstests import XfstestsRunner, PAPER_FAILING_TESTS
-        summary = XfstestsRunner(cntrfs_environment).run()
-        assert summary.total == 209
-        assert summary.passed == 205, summary.format_table()
-        assert sorted(summary.failing_ids()) == sorted(PAPER_FAILING_TESTS)
-        assert summary.pass_rate == pytest.approx(205 / 209, abs=1e-3)

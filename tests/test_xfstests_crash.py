@@ -1,55 +1,28 @@
-"""Each locks/crash/stress xfstests case, individually, on both environments.
+"""The locks/crash/stress xfstests cases, one pytest item per (case, environment).
 
-The aggregate suite runs inside ``tests/test_fuse_and_vfs.py`` and the CI
-``xfstests`` job; this module additionally surfaces the crash-consistency
-wave — the POSIX byte-range lock cases (generic/151-165), the power-fail +
+The POSIX byte-range lock cases (generic/151-165), the power-fail +
 journal-replay cases (generic/166-185) and the seeded shadow-model stress
-soups (generic/186-203) — as one pytest test per (case, environment) pair,
-so a regression names the exact case and environment instead of a
-pass-rate delta.
+soups (generic/186-203).  ``check_generic_case`` (``tests/conftest.py``) runs
+each through ``run_case``, so a regression names the exact case and
+environment.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.fs.errors import FsError
-from repro.xfstests import harness
 from repro.xfstests.generic import GENERIC_TESTS
 
-#: The advisory-locking, power-fail and stress-soup conformance waves.
 NEW_CASES = [case for case in GENERIC_TESTS if 151 <= case.number <= 203]
 
 
 def test_the_new_surface_is_at_least_fortyfive_cases():
     assert len(NEW_CASES) >= 45
-    groups = {group for case in NEW_CASES for group in case.groups}
-    # The issue's coverage checklist: byte-range locks, crash durability
-    # semantics and the seeded stress soups are all represented.
-    assert {"locks", "crash", "stress"} <= groups
-    by_group = {g: sum(1 for c in NEW_CASES if g in c.groups)
-                for g in ("locks", "crash", "stress")}
-    assert by_group["locks"] == 15
-    assert by_group["crash"] == 20
-    assert by_group["stress"] == 18
-
-
-@pytest.fixture(scope="module", params=["native", "cntrfs"])
-def xfs_env(request):
-    if request.param == "native":
-        return harness.native_environment()
-    return harness.cntrfs_environment()
+    by_group = {group: sum(1 for case in NEW_CASES if group in case.groups)
+                for group in ("locks", "crash", "stress")}
+    assert by_group == {"locks": 15, "crash": 20, "stress": 18}
 
 
 @pytest.mark.parametrize("case", NEW_CASES, ids=lambda case: case.test_id)
-def test_generic_case(xfs_env, case):
-    workdir = f"{xfs_env.test_dir}/{case.test_id.replace('/', '-')}-unit"
-    try:
-        xfs_env.sc.makedirs(workdir)
-    except FsError:
-        pass
-    sandboxed = harness.TestEnvironment(
-        name=xfs_env.name, machine=xfs_env.machine, sc=xfs_env.sc,
-        test_dir=workdir, scratch_dir=xfs_env.scratch_dir,
-        fs_under_test=xfs_env.fs_under_test, is_cntrfs=xfs_env.is_cntrfs)
-    case.func(sandboxed)
+def test_generic_case(check_generic_case, case):
+    check_generic_case(case)

@@ -1,49 +1,28 @@
-"""Each observability xfstests case, individually, on both environments.
+"""The observability xfstests cases, one pytest item per (case, environment).
 
-The aggregate suite runs inside ``tests/test_fuse_and_vfs.py`` and the CI
-``xfstests`` job; this module additionally surfaces the observability wave —
-the PSI pressure files, the nanosecond-exact stall decompositions, the
+The PSI pressure files, the nanosecond-exact stall decompositions, the
 ``/proc/vmstat`` + per-cgroup ``io.stat`` counters and the tracefs control
-surface (generic/204-209) — as one pytest test per (case, environment)
-pair, so a regression names the exact case and environment instead of a
-pass-rate delta.
+surface (generic/204-209).  ``check_generic_case`` (``tests/conftest.py``)
+runs each through ``run_case``, so a regression names the exact case and
+environment.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.fs.errors import FsError
-from repro.xfstests import harness
 from repro.xfstests.generic import GENERIC_TESTS
 
-#: The PSI / tracepoint / counter observability wave.
 NEW_CASES = [case for case in GENERIC_TESTS if 204 <= case.number <= 209]
 
 
 def test_the_new_surface_is_six_cases():
+    assert NEW_CASES == [case for case in GENERIC_TESTS if "psi" in case.groups]
     assert len(NEW_CASES) == 6
     for case in NEW_CASES:
-        assert "psi" in case.groups
         assert "auto" in case.groups and "quick" in case.groups
 
 
-@pytest.fixture(scope="module", params=["native", "cntrfs"])
-def xfs_env(request):
-    if request.param == "native":
-        return harness.native_environment()
-    return harness.cntrfs_environment()
-
-
 @pytest.mark.parametrize("case", NEW_CASES, ids=lambda case: case.test_id)
-def test_generic_case(xfs_env, case):
-    workdir = f"{xfs_env.test_dir}/{case.test_id.replace('/', '-')}-unit"
-    try:
-        xfs_env.sc.makedirs(workdir)
-    except FsError:
-        pass
-    sandboxed = harness.TestEnvironment(
-        name=xfs_env.name, machine=xfs_env.machine, sc=xfs_env.sc,
-        test_dir=workdir, scratch_dir=xfs_env.scratch_dir,
-        fs_under_test=xfs_env.fs_under_test, is_cntrfs=xfs_env.is_cntrfs)
-    case.func(sandboxed)
+def test_generic_case(check_generic_case, case):
+    check_generic_case(case)

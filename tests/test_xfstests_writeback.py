@@ -1,53 +1,31 @@
-"""Each new writeback/caching xfstests case, individually, on both environments.
+"""The writeback/caching xfstests cases, one pytest item per (case, environment).
 
-The aggregate suite runs inside ``tests/test_fuse_and_vfs.py`` and the CI
-``xfstests`` job; this module additionally surfaces the memory-pressure
-model's conformance cases (generic/091-114), the reclaim/readahead wave
-(generic/115-130) and the cgroup memory-controller wave (generic/131-146) as
-one pytest test per (case, environment) pair, so a regression names the
-exact case and environment instead of a pass-rate delta.
+The memory-pressure model's conformance cases (generic/091-114), the
+reclaim/readahead wave (generic/115-130) and the cgroup memory-controller
+wave (generic/131-146).  ``check_generic_case`` (``tests/conftest.py``) runs
+each through ``run_case``, so a regression names the exact case and
+environment.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.fs.errors import FsError
-from repro.xfstests import harness
 from repro.xfstests.generic import GENERIC_TESTS
 
-#: The writeback/caching cases of the memory-pressure model plus the
-#: reclaim/readahead and cgroup memory-controller conformance waves.
 NEW_CASES = [case for case in GENERIC_TESTS if 91 <= case.number <= 146]
 
 
 def test_the_new_surface_is_at_least_fiftytwo_cases():
     assert len(NEW_CASES) >= 52
     groups = {group for case in NEW_CASES for group in case.groups}
-    # The issues' coverage checklists: durability, caching, truncate/rename
-    # interactions, sparse semantics, memory-pressure reclaim, per-device
-    # readahead, sysctl validation and the cgroup memory controller are all
-    # represented.
+    # Durability, caching, truncate/rename interactions, sparse semantics,
+    # memory-pressure reclaim, per-device readahead, sysctl validation and
+    # the cgroup memory controller are all represented.
     assert {"writeback", "caching", "rename", "seek", "prealloc",
             "reclaim", "readahead", "sysctl", "cgroup"} <= groups
 
 
-@pytest.fixture(scope="module", params=["native", "cntrfs"])
-def xfs_env(request):
-    if request.param == "native":
-        return harness.native_environment()
-    return harness.cntrfs_environment()
-
-
 @pytest.mark.parametrize("case", NEW_CASES, ids=lambda case: case.test_id)
-def test_generic_case(xfs_env, case):
-    workdir = f"{xfs_env.test_dir}/{case.test_id.replace('/', '-')}-unit"
-    try:
-        xfs_env.sc.makedirs(workdir)
-    except FsError:
-        pass
-    sandboxed = harness.TestEnvironment(
-        name=xfs_env.name, machine=xfs_env.machine, sc=xfs_env.sc,
-        test_dir=workdir, scratch_dir=xfs_env.scratch_dir,
-        fs_under_test=xfs_env.fs_under_test, is_cntrfs=xfs_env.is_cntrfs)
-    case.func(sandboxed)
+def test_generic_case(check_generic_case, case):
+    check_generic_case(case)
