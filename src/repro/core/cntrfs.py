@@ -16,6 +16,7 @@ detect hard links, which is what makes cold-cache, lookup-heavy workloads
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 from repro.fs.errors import FsError
@@ -237,15 +238,21 @@ class CntrFS(FuseServer):
         else:
             # Coalesced dispatch: replay the backing reads at wire-request
             # granularity so per-call fixed costs (device seeks, metadata
-            # charges) match a chunked request loop exactly.
-            parts = []
-            pos, remaining = offset, size
-            while remaining > 0:
-                chunk = min(granule, remaining)
-                parts.append(vnode.fs.read(vnode.ino, pos, chunk))
-                pos += chunk
-                remaining -= chunk
-            data = b"".join(parts)
+            # charges) match a chunked request loop exactly.  The buffer is
+            # sized once and each chunk is copied in as it arrives, so at
+            # most one chunk is alive beside it, and ``getvalue`` hands it
+            # over without another copy.  A final join over every chunk would
+            # double the peak of a 1 MiB read; once live data fills glibc's
+            # heap, that peak makes glibc trim the heap and fault it back in
+            # on every read.
+            out = io.BytesIO()
+            out.seek(size - 1)
+            out.write(b"\0")
+            out.seek(0)
+            for pos in range(offset, offset + size, granule):
+                out.write(vnode.fs.read(vnode.ino, pos, min(granule, offset + size - pos)))
+            out.truncate()  # a short read at end of file
+            data = out.getvalue()
         self.cntr_stats.bytes_read += len(data)
         return FuseReply(unique=request.unique, data=data)
 

@@ -15,6 +15,8 @@ from repro.fs.errors import FsError
 from repro.fs.stat import FileStat
 
 PAGE_SIZE = 4096
+#: What a hole reads as; shared by every read, so it must stay immutable.
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 #: Plain-int copies of the file-type mode bits.  ``mode`` arithmetic runs on
 #: every path-resolution step; going through ``IntFlag.__and__`` there costs
@@ -34,6 +36,10 @@ class FileData:
     keeping any bytes at all — the performance benchmarks use this mode so
     that multi-gigabyte simulated workloads do not consume real memory (the
     cost model never looks at the bytes, only at the sizes).
+
+    ``read`` copies each stored byte exactly once: it allocates its result
+    and fills it in one pass over the pages, with no staging buffer, and the
+    ``bytes`` it returns share nothing with the pages.
     """
 
     def __init__(self, initial: bytes = b"", store: bool = True) -> None:
@@ -53,20 +59,13 @@ class FileData:
         size = min(size, self._size - offset)
         if not self.store:
             return b"\x00" * size
-        out = bytearray()
-        pos = offset
-        remaining = size
-        while remaining > 0:
-            page_idx, page_off = divmod(pos, PAGE_SIZE)
-            chunk = min(remaining, PAGE_SIZE - page_off)
-            page = self._pages.get(page_idx)
-            if page is None:
-                out.extend(b"\x00" * chunk)
-            else:
-                out.extend(page[page_off:page_off + chunk])
-            pos += chunk
-            remaining -= chunk
-        return bytes(out)
+        end = offset + size
+        first, last = offset // PAGE_SIZE, (end - 1) // PAGE_SIZE
+        get = self._pages.get
+        parts = [get(idx, _ZERO_PAGE) for idx in range(first, last + 1)]
+        parts[-1] = memoryview(parts[-1])[:end - last * PAGE_SIZE]
+        parts[0] = memoryview(parts[0])[offset - first * PAGE_SIZE:]
+        return b"".join(parts)
 
     def write(self, offset: int, data: bytes) -> int:
         """Write ``data`` at ``offset``; holes before ``offset`` read as zeros."""
@@ -90,13 +89,13 @@ class FileData:
     def truncate(self, size: int) -> None:
         """Resize the file to exactly ``size`` bytes (growth creates a hole)."""
         if size < self._size and self.store:
-            last_page = size // PAGE_SIZE
-            for idx in [i for i in self._pages if i > last_page]:
+            last_page, keep = divmod(size, PAGE_SIZE)
+            # Pages from ceil(size / PAGE_SIZE) on lie wholly past the new end.
+            for idx in [i for i in self._pages if i >= last_page + (keep > 0)]:
                 del self._pages[idx]
-            if size % PAGE_SIZE and last_page in self._pages:
-                keep = size % PAGE_SIZE
-                page = self._pages[last_page]
-                page[keep:] = b"\x00" * (PAGE_SIZE - keep)
+            page = self._pages.get(last_page)
+            if page is not None:
+                page[keep:] = bytes(PAGE_SIZE - keep)
         self._size = size
 
     def punch_hole(self, offset: int, length: int) -> None:

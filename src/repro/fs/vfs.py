@@ -520,6 +520,8 @@ class VFS:
 
     def pread(self, handle: OpenFile, size: int, offset: int) -> bytes:
         """Positional read."""
+        if offset < 0:
+            raise FsError.einval("negative offset")
         if handle.closed:
             raise FsError.ebadf(handle.path)
         if not handle.readable:
@@ -537,6 +539,8 @@ class VFS:
     def pwrite(self, handle: OpenFile, data: bytes, offset: int,
                creds: Credentials | None = None) -> int:
         """Positional write, enforcing RLIMIT_FSIZE when the filesystem layer does."""
+        if offset < 0:
+            raise FsError.einval("negative offset")
         if handle.closed:
             raise FsError.ebadf(handle.path)
         if not handle.writable:
@@ -585,6 +589,8 @@ class VFS:
 
     def ftruncate(self, handle: OpenFile, size: int) -> None:
         """Truncate via an open description."""
+        if size < 0:
+            raise FsError.einval("negative length")
         if not handle.writable:
             raise FsError.ebadf(handle.path)
         handle.fs.truncate(handle.ino, size)
@@ -595,6 +601,8 @@ class VFS:
 
     def fallocate(self, handle: OpenFile, mode: int, offset: int, length: int) -> None:
         """Preallocate space in an open file."""
+        if offset < 0 or length <= 0:
+            raise FsError.einval(f"bad range {offset}+{length}")
         if not handle.writable:
             raise FsError.ebadf(handle.path)
         handle.fs.fallocate(handle.ino, mode, offset, length)
@@ -769,6 +777,8 @@ class VFS:
 
     def truncate(self, ctx: PathContext, path: str, size: int) -> None:
         """``truncate(2)``."""
+        if size < 0:
+            raise FsError.einval("negative length")
         vnode = self.resolve(ctx, path)
         self._check_access(vnode.inode(), ctx.creds, _W_OK)
         if vnode.mount.read_only:

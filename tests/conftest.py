@@ -25,17 +25,28 @@ def syscalls(machine):
 
 
 @pytest.fixture(scope="module", params=list(XFSTESTS_ENVIRONMENTS))
-def check_generic_case(request):
+def environment_snapshot(request):
+    """A booted native or CntrFS test environment, frozen for cheap forks."""
+    return harness.EnvironmentSnapshot(XFSTESTS_ENVIRONMENTS[request.param]())
+
+
+@pytest.fixture()
+def fresh_env(environment_snapshot):
+    """A pristine fork of :func:`environment_snapshot`, one per test."""
+    return environment_snapshot.fork()
+
+
+@pytest.fixture(scope="module")
+def check_generic_case(environment_snapshot):
     """Run one xfstests generic case and assert its verdict, on each environment.
 
-    The case runs through :func:`harness.run_case` on a fresh fork of a
-    module-scoped snapshot.  It must pass, except that the four
+    The case runs through :func:`harness.run_case` on a fresh fork of the
+    module's environment snapshot.  It must pass, except that the four
     ``PAPER_FAILING_TESTS`` must fail on CntrFS (paper §5.1).
     """
-    snapshot = harness.EnvironmentSnapshot(XFSTESTS_ENVIRONMENTS[request.param]())
 
     def check(case):
-        env = snapshot.fork()
+        env = environment_snapshot.fork()
         result = harness.run_case(case, env)
         paper_failure = env.is_cntrfs and case.test_id in PAPER_FAILING_TESTS
         assert result.status == ("fail" if paper_failure else "pass"), result.message

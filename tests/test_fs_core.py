@@ -1,6 +1,7 @@
 """Tests for inodes, file data, ACLs, locks and the page cache."""
 
 import errno
+import tracemalloc
 
 import pytest
 
@@ -53,6 +54,21 @@ class TestFileData:
         data = FileData(b"aaaaaaaaaa")
         data.write(3, b"BBB")
         assert data.to_bytes() == b"aaaBBBaaaa"
+
+    @pytest.mark.parametrize("offset", [0, 1000, 3 << 19],
+                             ids=["aligned", "unaligned", "into-a-hole"])
+    def test_read_copies_each_byte_once(self, offset):
+        """A read allocates its result and little else: no staging buffer."""
+        data = FileData(b"r" * (2 << 20))
+        data.write(4 << 20, b"end")          # [2 MiB, 4 MiB) is a hole
+        tracemalloc.start()
+        try:
+            out = data.read(offset, 1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 1 << 20
+        assert peak <= 1.1 * len(out)
 
 
 class TestPosixAcl:

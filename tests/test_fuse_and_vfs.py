@@ -1,14 +1,15 @@
 """Tests for the VFS path layer and the FUSE client/CntrFS stack."""
 
 import errno
+import tracemalloc
 
 import pytest
 
-from repro.fs.constants import OpenFlags
+from repro.fs.constants import FallocateMode, OpenFlags
 from repro.fs.errors import FsError
 from repro.fs.tmpfs import TmpFS
 from repro.fuse.options import FuseMountOptions
-from repro.fuse.protocol import FuseOpcode
+from repro.fuse.protocol import FuseOpcode, FuseRequest
 from repro.xfstests.harness import cntrfs_environment
 
 
@@ -123,6 +124,26 @@ class TestFuseStack:
         lookups_before = stats.requests_by_opcode.get("LOOKUP", 0)
         sc.stat(path)
         assert stats.requests_by_opcode.get("LOOKUP", 0) == lookups_before
+
+    def test_coalesced_read_holds_one_granule_beside_the_reply(self, cntr_env):
+        """A READ replayed in granules copies each into the reply as it comes."""
+        sc = cntr_env.sc
+        path = f"{cntr_env.test_dir}/granules"
+        fd = sc.open(path, OpenFlags.O_CREAT | OpenFlags.O_WRONLY)
+        sc.write(fd, b"g" * (1 << 20) + b"tail")
+        sc.fsync(fd)
+        sc.close(fd)
+        server = cntr_env.fs_under_test.connection.server
+        request = FuseRequest(FuseOpcode.READ, sc.stat(path).st_ino,
+                              args={"offset": 4, "size": 1 << 20, "granule": 128 << 10})
+        tracemalloc.start()
+        try:
+            reply = server.handle(request)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reply.data == b"g" * ((1 << 20) - 4) + b"tail"
+        assert peak <= 1.25 * len(reply.data)
 
     def test_o_direct_rejected(self, cntr_env):
         sc = cntr_env.sc
@@ -278,3 +299,50 @@ class TestMountOptions:
         assert client.connection.stats.requests_by_opcode.get("READ", 0) >= 2
         assert resident_before >= 0
 
+
+class TestFileDataThroughSyscalls:
+    """Data syscalls behave alike on ext4-native and CntrFS-over-tmpfs."""
+
+    @staticmethod
+    def _file(env, payload):
+        path = env.path("data")
+        fd = env.sc.open(path, OpenFlags.O_CREAT | OpenFlags.O_RDWR, 0o644)
+        env.sc.write(fd, payload)
+        return path, fd
+
+    def test_o_trunc_drops_the_old_bytes(self, fresh_env):
+        sc = fresh_env.sc
+        path, fd = self._file(fresh_env, b"S" * 100)
+        sc.close(fd)
+        fd = sc.open(path, OpenFlags.O_RDWR | OpenFlags.O_TRUNC)
+        sc.pwrite(fd, b"x", 100)
+        assert sc.pread(fd, 200, 0) == b"\x00" * 100 + b"x"
+
+    @pytest.mark.parametrize("kept", [0, 4096, 4097])
+    def test_truncate_then_extend_reads_zeros(self, fresh_env, kept):
+        sc = fresh_env.sc
+        path, fd = self._file(fresh_env, b"S" * 3 * 4096)
+        sc.close(fd)
+        sc.truncate(path, kept)
+        sc.truncate(path, 3 * 4096)
+        fd = sc.open(path, OpenFlags.O_RDONLY)
+        assert sc.read(fd, 4 * 4096) == b"S" * kept + b"\x00" * (3 * 4096 - kept)
+
+    def test_negative_offsets_and_lengths_are_einval(self, fresh_env):
+        sc = fresh_env.sc
+        path, fd = self._file(fresh_env, b"0123456789")
+        calls = [
+            lambda: sc.pread(fd, 8, -1),
+            lambda: sc.pwrite(fd, b"x", -1),
+            lambda: sc.truncate(path, -1),
+            lambda: sc.ftruncate(fd, -5),
+            lambda: sc.fallocate(fd, FallocateMode.DEFAULT, -1, 4096),
+            lambda: sc.fallocate(fd, FallocateMode.DEFAULT, 0, 0),
+            lambda: sc.fallocate(fd, FallocateMode.KEEP_SIZE, 0, -4096),
+        ]
+        for call in calls:
+            with pytest.raises(FsError) as exc:
+                call()
+            assert exc.value.errno == errno.EINVAL
+        assert sc.stat(path).st_size == 10
+        assert sc.pread(fd, 16, 0) == b"0123456789"

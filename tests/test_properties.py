@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fs.constants import LockType, OpenFlags
-from repro.fs.inode import FileData
+from repro.fs.inode import PAGE_SIZE, FileData
 from repro.fs.locks import LockRange, LockTable
 from repro.fs.pagecache import PageCache
 from repro.fs.errors import FsError
@@ -16,22 +16,77 @@ SMALL_DATA = st.binary(min_size=0, max_size=4096)
 
 write_ops = st.tuples(SMALL_OFFSET, SMALL_DATA)
 
+#: Non-zero and with a period prime to the page size, so a stale, missing or
+#: misplaced byte never reads back as the byte the model expects.
+_PATTERN = bytes(range(1, 256)) * 64
+#: Positions at, next to and between page edges.  The file stays within a
+#: few pages, so that operations keep landing on each other's pages.
+FILE_POS = st.one_of(
+    st.builds(lambda page, delta: max(0, page * PAGE_SIZE + delta),
+              st.integers(0, 4), st.integers(-2, 2)),
+    st.integers(0, 4 * PAGE_SIZE),
+)
+SPAN = st.integers(0, 3 * PAGE_SIZE + 2)
+
+file_data_ops = st.one_of(
+    st.tuples(st.just("write"), FILE_POS, SPAN, st.integers(0, 254)),
+    st.tuples(st.just("truncate"),
+              st.one_of(st.integers(0, 4).map(lambda n: n * PAGE_SIZE), FILE_POS)),
+    st.tuples(st.just("punch"), FILE_POS, SPAN),
+    st.tuples(st.just("clone")),
+    st.tuples(st.just("read"), FILE_POS, SPAN),
+)
+
 
 class TestFileDataProperties:
-    @given(st.lists(write_ops, max_size=20))
-    @settings(max_examples=60, deadline=None)
+    @given(st.lists(file_data_ops, min_size=10, max_size=40))
+    @settings(max_examples=100, deadline=None)
     def test_matches_reference_bytearray_model(self, ops):
-        """FileData must behave exactly like a flat, zero-filled bytearray."""
+        """FileData must behave exactly like a flat, zero-filled bytearray.
+
+        Writes, truncates (biased to page-aligned sizes), hole punches,
+        clones and reads interleave.  Every read must return ``bytes`` equal
+        to the model's range and stay equal after later mutations; every
+        clone must keep the contents it had when it was taken.
+        """
         data = FileData()
-        reference = bytearray()
-        for offset, payload in ops:
-            data.write(offset, payload)
-            end = offset + len(payload)
-            if len(reference) < end:
-                reference.extend(b"\x00" * (end - len(reference)))
-            reference[offset:end] = payload
-        assert len(data) == len(reference)
-        assert data.to_bytes() == bytes(reference)
+        model = bytearray()
+        reads, clones = [], []
+        for op, *args in ops:
+            if op == "write":
+                offset, length, phase = args
+                payload = _PATTERN[phase:phase + length]
+                data.write(offset, payload)
+                if len(model) < offset:
+                    model.extend(bytes(offset - len(model)))
+                model[offset:offset + length] = payload
+            elif op == "truncate":
+                (size,) = args
+                data.truncate(size)
+                del model[size:]
+                model.extend(bytes(size - len(model)))
+            elif op == "punch":
+                offset, length = args
+                data.punch_hole(offset, length)
+                end = min(offset + length, len(model))
+                if offset < end:
+                    model[offset:end] = bytes(end - offset)
+            elif op == "clone":
+                clones.append((data, bytes(model)))
+                data = data.clone()
+            else:
+                offset, length = args
+                expected = bytes(model[offset:offset + length])
+                out = data.read(offset, length)
+                assert type(out) is bytes
+                assert out == expected
+                reads.append((out, expected))
+            assert len(data) == len(model)
+        assert data.to_bytes() == model
+        for out, expected in reads:
+            assert out == expected
+        for original, contents in clones:
+            assert original.to_bytes() == contents
 
     @given(st.lists(write_ops, max_size=10), st.integers(min_value=0, max_value=32768))
     @settings(max_examples=40, deadline=None)
@@ -472,12 +527,12 @@ class _PressureFs:
     a page cache, a writeback engine whose flush cleans the cache, and the
     note-dirty-then-balance write path of ext4/fuse."""
 
-    PAGE = 4096
+    PAGE_SIZE = 4096
 
     def __init__(self, name, clock=None, background=0):
         from repro.fs.writeback import VmTunables, WritebackEngine
 
-        self.page_cache = PageCache(page_size=self.PAGE)
+        self.page_cache = PageCache(page_size=self.PAGE_SIZE)
         self.writeback = WritebackEngine(
             name, VmTunables(dirty_background_bytes=background),
             self._flush, clock=clock)
@@ -493,7 +548,7 @@ class _PressureFs:
 
     def write(self, ino, offset, size):
         dirtied = self.page_cache.write(ino, offset, size)
-        self.writeback.note_dirty(ino, dirtied * self.PAGE)
+        self.writeback.note_dirty(ino, dirtied * self.PAGE_SIZE)
         self.page_cache.balance_pressure()
 
     def read(self, ino, offset, size):
@@ -517,7 +572,7 @@ class TestReclaimProperties:
     def _vm(total_pages, reclaim=True):
         from repro.fs.writeback import MemInfo, VmSysctl
 
-        mem = MemInfo(total_bytes=total_pages * _PressureFs.PAGE,
+        mem = MemInfo(total_bytes=total_pages * _PressureFs.PAGE_SIZE,
                       reserved_bytes=0, reclaim_enabled=reclaim)
         return VmSysctl(meminfo=mem)
 
@@ -531,16 +586,16 @@ class TestReclaimProperties:
         for kind, ino, page, pages in ops:
             fs = filesystems[ino % 2]
             if kind == "write":
-                fs.write(ino, page * fs.PAGE, pages * fs.PAGE)
+                fs.write(ino, page * fs.PAGE_SIZE, pages * fs.PAGE_SIZE)
             else:
-                fs.read(ino, page * fs.PAGE, pages * fs.PAGE)
+                fs.read(ino, page * fs.PAGE_SIZE, pages * fs.PAGE_SIZE)
             stats = vm.reclaim_stats
             # Conservation: every reclaimed page was dropped clean or
             # flushed first, and bytes agree with pages.
             assert stats.pages_reclaimed == \
                 stats.pages_dropped + stats.pages_flushed
             assert stats.bytes_reclaimed == \
-                stats.pages_reclaimed * _PressureFs.PAGE
+                stats.pages_reclaimed * _PressureFs.PAGE_SIZE
             # The budget bound: Cached never exceeds the live budget.
             budget = vm.cache_budget_bytes()
             assert budget is not None
@@ -563,9 +618,9 @@ class TestReclaimProperties:
         for kind, ino, page, pages in ops:
             for _vm_obj, fs in (enabled, disabled):
                 if kind == "write":
-                    fs.write(ino, page * fs.PAGE, pages * fs.PAGE)
+                    fs.write(ino, page * fs.PAGE_SIZE, pages * fs.PAGE_SIZE)
                 else:
-                    fs.read(ino, page * fs.PAGE, pages * fs.PAGE)
+                    fs.read(ino, page * fs.PAGE_SIZE, pages * fs.PAGE_SIZE)
         fs_on, fs_off = enabled[1], disabled[1]
         assert fs_on.page_cache.resident_pages() == \
             fs_off.page_cache.resident_pages()
