@@ -526,6 +526,11 @@ def build_all_workloads() -> list[Workload]:
 ALL_WORKLOADS: list[Workload] = build_all_workloads()
 
 
+def workload_slug(name: str) -> str:
+    """The CLI and work-directory name of a workload ("IOzone: Write" -> "iozone-write")."""
+    return name.lower().replace(" ", "-").replace(":", "").replace(".", "")
+
+
 def workload_by_name(name: str) -> Workload:
     """Find a workload by its Figure 2 label."""
     for workload in ALL_WORKLOADS:

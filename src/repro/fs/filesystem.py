@@ -197,6 +197,16 @@ class Filesystem:
         """The advisory lock table for ``ino``."""
         return self._locks.setdefault(ino, LockTable())
 
+    def release_locks(self, ino: int, owner: int) -> None:
+        """Release every lock ``owner`` holds on ``ino`` (on close).
+
+        Only an existing table is touched: a file that was never locked keeps
+        no lock table, so closing it allocates nothing that outlives it.
+        """
+        table = self._locks.get(ino)
+        if table is not None:
+            table.release_owner(owner)
+
     def _require_dir(self, ino: int) -> DirectoryInode:
         inode = self.iget(ino)
         if not isinstance(inode, DirectoryInode):

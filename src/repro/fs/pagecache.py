@@ -110,9 +110,14 @@ def _bisect_start(lst: list[_Extent], x: int) -> int:
 
     Extent lists are usually one or two entries long, so the dominant cost of
     the stdlib form is the Python-level ``_start`` callback it makes on every
-    probe; the inlined attribute compare removes it.
+    probe; the inlined attribute compare removes it.  Most calls come from
+    sequential streams and land at or past the last extent's start, so that
+    case returns before the search.
     """
-    lo, hi = 0, len(lst)
+    hi = len(lst)
+    if not hi or lst[-1].start <= x:
+        return hi
+    lo = 0
     while lo < hi:
         mid = (lo + hi) >> 1
         if lst[mid].start <= x:

@@ -214,7 +214,7 @@ class OpenFile:
         """Release the description (idempotent)."""
         if not self.closed:
             self.closed = True
-            self.fs.locks(self.ino).release_owner(self.owner_pid)
+            self.fs.release_locks(self.ino, self.owner_pid)
             release_hook = getattr(self.fs, "on_release", None)
             if callable(release_hook):
                 release_hook(self.ino)

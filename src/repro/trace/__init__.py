@@ -18,17 +18,18 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.bench.harness import BenchEnvironment
-from repro.bench.phoronix import ALL_WORKLOADS, IoZoneRead, IoZoneWrite, Workload
+from repro.bench.phoronix import (
+    ALL_WORKLOADS,
+    IoZoneRead,
+    IoZoneWrite,
+    Workload,
+    workload_slug,
+)
 from repro.sim.psi import PSI_RESOURCES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
     from repro.sim.trace import TraceEvent
-
-
-def workload_slug(name: str) -> str:
-    """The CLI name of a workload ("IOzone: Write" -> "iozone-write")."""
-    return name.lower().replace(" ", "-").replace(":", "").replace(".", "")
 
 
 def workload_registry() -> dict[str, Workload]:

@@ -1,5 +1,6 @@
 """Tests for inodes, file data, ACLs, locks and the page cache."""
 
+import bisect
 import errno
 import tracemalloc
 
@@ -10,7 +11,7 @@ from repro.fs.constants import FileMode, LockType
 from repro.fs.errors import FsError
 from repro.fs.inode import FileData
 from repro.fs.locks import LockTable
-from repro.fs.pagecache import PageCache, page_span
+from repro.fs.pagecache import PageCache, _bisect_start, _Extent, page_span
 from repro.fs.filesystem import Filesystem
 from repro.sim import CostModel, VirtualClock
 
@@ -137,6 +138,19 @@ class TestLockTable:
 
 
 class TestPageCache:
+    @pytest.mark.parametrize("starts, x", [
+        ([], 5),                 # an empty list
+        ([0, 8, 16], 16),        # x equal to the last start
+        ([0, 8, 16], 40),        # x past the last start
+        ([8, 16, 24], 3),        # x below the first start
+        ([0, 8, 16, 24], 8),     # x inside the list
+        ([0, 8, 16, 24], 11),
+    ])
+    def test_bisect_start_matches_bisect_right(self, starts, x):
+        extents = [_Extent(1, start, start + 4, False, seq, seq)
+                   for seq, start in enumerate(starts)]
+        assert _bisect_start(extents, x) == bisect.bisect_right(starts, x)
+
     def test_page_span(self):
         assert list(page_span(0, 4096)) == [0]
         assert list(page_span(4095, 2)) == [0, 1]

@@ -1,15 +1,17 @@
 """Tests for the VFS path layer and the FUSE client/CntrFS stack."""
 
 import errno
+import pickle
 import tracemalloc
 
 import pytest
 
-from repro.fs.constants import FallocateMode, OpenFlags
+from repro.fs.constants import FallocateMode, LockType, OpenFlags
 from repro.fs.errors import FsError
 from repro.fs.tmpfs import TmpFS
 from repro.fuse.options import FuseMountOptions
 from repro.fuse.protocol import FuseOpcode, FuseRequest
+from repro.kernel.machine import boot
 from repro.xfstests.harness import cntrfs_environment
 
 
@@ -346,3 +348,30 @@ class TestFileDataThroughSyscalls:
             assert exc.value.errno == errno.EINVAL
         assert sc.stat(path).st_size == 10
         assert sc.pread(fd, 16, 0) == b"0123456789"
+
+
+class TestLockTables:
+    """An inode has a lock table only once a lock was taken on it."""
+
+    def test_open_and_close_leave_no_lock_table(self, fresh_env):
+        sc = fresh_env.sc
+        fd = sc.open(fresh_env.path("never-locked"),
+                     OpenFlags.O_CREAT | OpenFlags.O_RDWR, 0o644)
+        handle = sc.process.get_fd(fd)
+        sc.close(fd)
+        assert handle.ino not in handle.fs._locks  # noqa: SLF001
+        assert pickle.dumps(fresh_env.machine.kernel).count(b"LockTable") == 0
+
+    def test_flock_creates_the_table_and_close_releases_the_lock(self, fresh_env):
+        sc = fresh_env.sc
+        fd = sc.open(fresh_env.path("locked"), OpenFlags.O_CREAT | OpenFlags.O_RDWR, 0o644)
+        handle = sc.process.get_fd(fd)
+        sc.flock(fd, LockType.F_WRLCK)
+        table = handle.fs._locks[handle.ino]  # noqa: SLF001
+        assert len(table.held_locks()) == 1
+        sc.close(fd)
+        assert table.held_locks() == []
+
+    def test_booted_host_image_holds_no_lock_table(self):
+        image = pickle.dumps(boot().kernel, protocol=pickle.HIGHEST_PROTOCOL)
+        assert image.count(b"LockTable") == 0

@@ -2,9 +2,18 @@
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.harness import BenchEnvironment, figure5_docker_slim, run_comparison
-from repro.bench.phoronix import ALL_WORKLOADS, CompilebenchRead, Fio, workload_by_name
+from repro.bench.phoronix import (
+    ALL_WORKLOADS,
+    CompilebenchRead,
+    Dbench,
+    Fio,
+    IoZoneRead,
+    workload_by_name,
+)
 from repro.container import DockerEngine
+from repro.fuse.options import FuseMountOptions
 from repro.slim import DockerSlim, TOP50_CATALOGUE, build_catalogue_image
 from repro.slim.catalogue import catalogue_summary, hot_paths_of
 from repro.slim.tracker import AccessTracker, TrackedSyscalls
@@ -111,3 +120,109 @@ class TestBenchHarness:
     def test_comparison_measures_positive_durations(self):
         result = run_comparison(workload_by_name("Gzip"))
         assert result.native_ns > 0 and result.cntr_ns > 0
+
+
+@pytest.fixture(scope="module")
+def regeneration():
+    """Figures 2-4 regenerated once on empty caches.
+
+    Per figure: its result, every ``_measure`` request as
+    ``(args, kwargs, ns, ran)`` and how many ``_run_in`` runs it made.
+    """
+    measure, run_in = harness._measure, harness._run_in
+    requests, runs = [], []
+
+    def recording_measure(*args, **kwargs):
+        before = len(runs)
+        ns = measure(*args, **kwargs)
+        requests.append((args, kwargs, ns, len(runs) > before))
+        return ns
+
+    def counting_run_in(env, workload, through_cntr):
+        runs.append(workload.name)
+        return run_in(env, workload, through_cntr)
+
+    figures = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_EXPERIMENTS", {})
+        mp.setattr(harness, "_ENV_SNAPSHOTS", {})
+        mp.setattr(harness, "_measure", recording_measure)
+        mp.setattr(harness, "_run_in", counting_run_in)
+        for name, regenerate in (("fig2", harness.figure2_phoronix_overheads),
+                                 ("fig3", harness.figure3_optimization_effects),
+                                 ("fig4", harness.figure4_thread_sweep)):
+            first_request, first_run = len(requests), len(runs)
+            result = regenerate()
+            figures[name] = (result, requests[first_request:], len(runs) - first_run)
+    return figures
+
+
+class TestExperimentCache:
+    def test_fig3_and_fig4_reuse_the_fig2_cntrfs_runs(self, regeneration):
+        fig2 = {r.workload: r for r in regeneration["fig2"][0]}
+        _, fig3_requests, fig3_runs = regeneration["fig3"]
+        # Each panel measures "before", then "after" = the default configuration.
+        afters = fig3_requests[1::2]
+        assert [ns for _, _, ns, _ in afters] == [
+            fig2[name].cntr_ns for name in ("Threaded I/O: Read", "IOzone: Write",
+                                            "Compileb.: Read", "IOzone: Read")]
+        assert not any(ran for *_, ran in afters)
+        assert fig3_runs == 4
+
+        points, fig4_requests, fig4_runs = regeneration["fig4"]
+        (four,) = [p for p in points if p.threads == 4]
+        assert four.duration_ns == fig2["IOzone: Read"].cntr_ns
+        assert [ran for *_, ran in fig4_requests] == [True, True, False, True, True]
+        assert fig4_runs == 4
+
+    def test_figures_2_to_4_run_48_experiments_for_53_requests(self, regeneration):
+        assert sum(len(requests) for _, requests, _ in regeneration.values()) == 53
+        assert sum(runs for *_, runs in regeneration.values()) == 48
+
+    def test_every_cached_number_is_what_a_cold_run_measures(self, regeneration,
+                                                             monkeypatch):
+        measured = [(args, kwargs, ns)
+                    for _, requests, _ in regeneration.values()
+                    for args, kwargs, ns, ran in requests if ran]
+        assert len(measured) == 48
+        for args, kwargs, ns in measured:
+            monkeypatch.setattr(harness, "_EXPERIMENTS", {})
+            monkeypatch.setattr(harness, "_ENV_SNAPSHOTS", {})
+            assert harness._measure(*args, **kwargs) == ns
+
+    def test_experiments_differing_in_one_input_never_share_an_entry(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "_EXPERIMENTS", {})
+        monkeypatch.setattr(harness, "BenchEnvironment", lambda **config: config)
+        monkeypatch.setattr(harness, "_run_in",
+                            lambda _env, workload, _side: runs.append(workload) or len(runs))
+
+        def measure(workload, through_cntr=True, **config):
+            return harness._measure(workload, through_cntr, **config)
+
+        defaults = FuseMountOptions.paper_defaults()
+        longer_fio = Fio()
+        longer_fio.iterations += 1
+        assert longer_fio == Fio()   # Workload.__eq__ sees only the base fields
+        experiments = [
+            (IoZoneRead(size_mb=32), {}),
+            (IoZoneRead(size_mb=16), {}),
+            (Dbench(12, paper_overhead=0.9), {}),
+            (Dbench(48, paper_overhead=1.0), {}),
+            (Fio(), {}),
+            (longer_fio, {}),
+            (IoZoneRead(), {"options": defaults.with_overrides(splice_read=False)}),
+            (IoZoneRead(), {"threads": 8}),
+            (IoZoneRead(), {"through_cntr": False}),
+        ]
+        measured = [measure(workload, **config) for workload, config in experiments]
+        assert measured == list(range(1, len(experiments) + 1))
+
+        # The same experiment, spelled differently, is one entry.
+        assert measure(IoZoneRead()) == measured[0]
+        assert measure(IoZoneRead(), options=defaults) == measured[0]
+        assert measure(IoZoneRead(), options=defaults.with_overrides(threads=16)) \
+            == measured[0]
+        assert measure(IoZoneRead(), options=defaults.with_overrides(threads=8),
+                       threads=8) == measured[7]
+        assert len(runs) == len(experiments)
