@@ -10,11 +10,7 @@ def sweep():
     return figure4_thread_sweep(thread_counts=(1, 2, 4, 8, 16), size_mb=16)
 
 
-def test_figure4_thread_sweep(benchmark, sweep):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for point in sweep:
-        benchmark.extra_info[f"threads_{point.threads}_mb_s"] = round(
-            point.throughput_mb_s, 1)
+def test_figure4_thread_sweep(sweep):
     assert [p.threads for p in sweep] == [1, 2, 4, 8, 16]
 
 

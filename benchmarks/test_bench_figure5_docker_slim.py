@@ -10,12 +10,7 @@ def sweep():
     return figure5_docker_slim(max_files=300)
 
 
-def test_figure5_reduction_histogram(benchmark, sweep):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    benchmark.extra_info["mean_reduction_percent"] = round(sweep.mean_reduction, 1)
-    benchmark.extra_info["paper_mean_reduction_percent"] = 66.6
-    benchmark.extra_info["below_10_percent"] = sweep.count_below(10.0)
-    benchmark.extra_info["histogram"] = sweep.histogram()
+def test_figure5_reduction_histogram(sweep):
     print()
     print(format_figure5(sweep))
     assert len(sweep.reports) == 50

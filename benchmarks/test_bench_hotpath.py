@@ -23,11 +23,7 @@ def smoke():
     return run_hotpath(size_mb=SMOKE_MB, record_kb=64, page_cache_mb=512)
 
 
-def test_hotpath_smoke_runs_all_phases(benchmark, smoke):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for result in smoke:
-        benchmark.extra_info[f"{result.workload}_wall_s"] = round(result.wall_seconds, 3)
-        benchmark.extra_info[f"{result.workload}_virtual_ms"] = round(result.virtual_ms, 1)
+def test_hotpath_smoke_runs_all_phases(smoke):
     assert [r.workload for r in smoke] == \
         ["seq_write", "seq_read_cold", "seq_read_warm"]
     assert all(r.virtual_ms > 0 for r in smoke)

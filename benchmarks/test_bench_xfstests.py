@@ -9,30 +9,12 @@ from repro.xfstests import (
 )
 
 
-def test_xfstests_cntrfs_pass_rate(benchmark):
-    summary_holder = {}
-
-    def run_suite():
-        summary_holder["summary"] = XfstestsRunner(cntrfs_environment).run()
-
-    benchmark.pedantic(run_suite, rounds=1, iterations=1)
-    summary = summary_holder["summary"]
-    benchmark.extra_info["passed"] = summary.passed
-    benchmark.extra_info["total"] = summary.total
-    benchmark.extra_info["pass_rate_percent"] = round(summary.pass_rate * 100, 2)
-    benchmark.extra_info["failing"] = summary.failing_ids()
+def test_xfstests_cntrfs_pass_rate():
+    summary = XfstestsRunner(cntrfs_environment).run()
     assert summary.passed == 205 and summary.total == 209
     assert sorted(summary.failing_ids()) == sorted(PAPER_FAILING_TESTS)
 
 
-def test_xfstests_native_baseline(benchmark):
-    summary_holder = {}
-
-    def run_suite():
-        summary_holder["summary"] = XfstestsRunner(native_environment).run()
-
-    benchmark.pedantic(run_suite, rounds=1, iterations=1)
-    summary = summary_holder["summary"]
-    benchmark.extra_info["passed"] = summary.passed
-    benchmark.extra_info["total"] = summary.total
+def test_xfstests_native_baseline():
+    summary = XfstestsRunner(native_environment).run()
     assert summary.passed == summary.total == 209

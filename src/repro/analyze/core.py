@@ -76,7 +76,6 @@ class AnalysisConfig:
         "repro.bench.hotpath",
         "repro.bench.scale",
         "repro.bench.writeback",
-        "repro.bench.profile",
         "repro.trace.__main__",
     )
 

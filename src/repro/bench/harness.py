@@ -149,20 +149,31 @@ class BenchEnvironment:
         return self.machine.clock.now_ns - start
 
 
-def _run_in(env: BenchEnvironment, workload: Workload, through_cntr: bool) -> int:
-    """Prepare natively, run the measured phase through the requested path."""
+def _prepare(env: BenchEnvironment, workload: Workload,
+             through_cntr: bool) -> tuple[Syscalls, str]:
+    """Prepare ``workload``'s input natively and settle the machine.
+
+    Returns the syscalls and working directory the measured run uses, on the
+    requested side.
+    """
     native_sc, native_base = env.native_access()
     run_sc, run_base = env.cntr_access() if through_cntr else (native_sc, native_base)
-    workdir = workload_slug(workload.name)
-    native_sc.makedirs(f"{native_base}/{workdir}")
-    workload.prepare(native_sc, f"{native_base}/{workdir}")
+    slug = workload_slug(workload.name)
+    native_sc.makedirs(f"{native_base}/{slug}")
+    workload.prepare(native_sc, f"{native_base}/{slug}")
     # Settle the backing store (flush dirty state from prepare) but keep its
     # page cache warm — the benchmark runs on the same machine that produced
     # the input data, exactly as in the paper's methodology.  Only the
     # FUSE-side caches start cold.
     env.backing.sync()
     env.drop_fuse_caches()
-    return env.measure(lambda: workload.run(run_sc, f"{run_base}/{workdir}"))
+    return run_sc, f"{run_base}/{slug}"
+
+
+def _run_in(env: BenchEnvironment, workload: Workload, through_cntr: bool) -> int:
+    """Prepare natively, run the measured phase through the requested path."""
+    run_sc, workdir = _prepare(env, workload, through_cntr)
+    return env.measure(lambda: workload.run(run_sc, workdir))
 
 
 def _workload_key(workload: Workload) -> tuple:

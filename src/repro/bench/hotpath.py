@@ -124,32 +124,6 @@ def run_hotpath(size_mb: int = 1024, record_kb: int = 64,
     return results
 
 
-def run_scaled_figures(scale: int = 10) -> list[HotpathResult]:
-    """Figure 3/4-shaped workloads at ``scale``x the paper-suite size.
-
-    Uses the IOzone read/write generators (the Figure 3b/3d/4 inputs) at a
-    size ``scale`` times the default 32 MB, which is where per-page hot-path
-    loops used to dominate the wall clock.
-    """
-    from repro.bench.phoronix import IoZoneRead, IoZoneWrite
-
-    results = []
-    for workload in (IoZoneWrite(size_mb=32 * scale), IoZoneRead(size_mb=32 * scale)):
-        env = BenchEnvironment(page_cache_mb=max(2048, 64 * scale))
-        native_sc, native_base = env.native_access()
-        run_sc, run_base = env.cntr_access()
-        native_sc.makedirs(f"{native_base}/scaled")
-        workload.prepare(native_sc, f"{native_base}/scaled")
-        env.backing.sync()
-        env.drop_fuse_caches()
-        result = _measure(env, f"figure_scaled:{workload.name}", workload.size,
-                          4096,
-                          lambda w=workload, sc=run_sc, base=run_base:
-                              w.run(sc, f"{base}/scaled") or 0)
-        results.append(result)
-    return results
-
-
 def _merge_json(out_path: str, label: str, payload: dict) -> dict:
     data = {}
     if os.path.exists(out_path):
@@ -178,13 +152,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", default="optimized",
                         help="result key in the output JSON (seed | optimized)")
     parser.add_argument("--out", default="BENCH_hotpath.json")
-    parser.add_argument("--scaled-figures", type=int, default=0, metavar="SCALE",
-                        help="also run the Figure 3/4 workloads at SCALEx size")
     args = parser.parse_args(argv)
 
     results = run_hotpath(size_mb=args.size_mb, record_kb=args.record_kb)
-    if args.scaled_figures:
-        results.extend(run_scaled_figures(args.scaled_figures))
     payload = {
         "workload": f"{args.size_mb}MiB sequential write+read through FuseClientFs",
         "record_kb": args.record_kb,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.bench.harness import BenchEnvironment
+from repro.bench.harness import BenchEnvironment, _prepare
 from repro.bench.phoronix import (
     ALL_WORKLOADS,
     IoZoneRead,
@@ -76,9 +76,9 @@ def parse_vmstat(text: str) -> dict[str, int]:
 def run_traced(workload: Workload, top: int = 10) -> dict:
     """Run ``workload`` through CntrFS with observability on; build the report.
 
-    Mirrors :func:`repro.bench.harness._run_in` phase structure (prepare
-    natively, settle, run through the FUSE mount) but samples PSI at every
-    phase boundary and keeps the tracer hot throughout.
+    Runs the figure harness's phases (:func:`repro.bench.harness._prepare`,
+    then the measured run) but samples PSI at every phase boundary and keeps
+    the tracer hot throughout.
     """
     env = BenchEnvironment()
     kernel = env.machine.kernel
@@ -89,17 +89,10 @@ def run_traced(workload: Workload, top: int = 10) -> dict:
 
     timeline = [{"phase": "boot", "virtual_ns": kernel.clock.now_ns,
                  "psi": psi_sample(kernel)}]
-    native_sc, native_base = env.native_access()
-    run_sc, run_base = env.cntr_access()
-    workdir = workload_slug(workload.name)
-    native_sc.makedirs(f"{native_base}/{workdir}")
-    workload.prepare(native_sc, f"{native_base}/{workdir}")
-    env.backing.sync()
-    env.drop_fuse_caches()
+    run_sc, workdir = _prepare(env, workload, through_cntr=True)
     timeline.append({"phase": "prepared", "virtual_ns": kernel.clock.now_ns,
                      "psi": psi_sample(kernel)})
-    duration_ns = env.measure(
-        lambda: workload.run(run_sc, f"{run_base}/{workdir}"))
+    duration_ns = env.measure(lambda: workload.run(run_sc, workdir))
     timeline.append({"phase": "ran", "virtual_ns": kernel.clock.now_ns,
                      "psi": psi_sample(kernel)})
 

@@ -34,6 +34,15 @@ def _check_smoke(report: dict) -> list[str]:
     return problems
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for ``--top``: a row count, so never negative (a
+    negative slice bound would silently drop rows from the summary)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.trace",
@@ -45,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="trace the small fixed write+read pair and "
                              "verify report invariants (CI)")
-    parser.add_argument("--top", type=int, default=10,
+    parser.add_argument("--top", type=_non_negative_int, default=10,
                         help="rows in the top-cost summary (default 10)")
     parser.add_argument("--output", help="write the JSON report here "
                                          "instead of stdout")

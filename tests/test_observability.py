@@ -39,6 +39,7 @@ from repro.trace import (
     TraceCollector,
     parse_vmstat,
     psi_sample,
+    run_traced,
     smoke_workloads,
     workload_registry,
     workload_slug,
@@ -306,6 +307,23 @@ class TestTraceCli:
         assert report["virtual_ns"] > 0
         phases = [entry["phase"] for entry in report["psi"]["timeline"]]
         assert phases == ["boot", "prepared", "ran"]
+
+    @pytest.mark.parametrize("workload", smoke_workloads(), ids=lambda w: w.name)
+    def test_traced_run_is_the_figure_experiment(self, workload):
+        """A traced run makes the figure harness's measurement: the same
+        phases, and tracing charges no virtual time of its own."""
+        from repro.bench import harness
+
+        assert run_traced(workload)["virtual_ns"] == harness._measure(workload, True)
+
+    @pytest.mark.parametrize("top", ["-1", "-5"])
+    def test_negative_top_is_rejected(self, top, capsys):
+        from repro.trace.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--smoke", "--top", top])
+        assert excinfo.value.code == 2
+        assert "--top: must be >= 0" in capsys.readouterr().err
 
     def test_trace_module_is_wallclock_allowlisted(self):
         from repro.analyze.core import DEFAULT_CONFIG
