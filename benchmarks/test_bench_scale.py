@@ -15,7 +15,6 @@ scheduling"):
   never rewrite what previous PRs published.
 """
 
-import hashlib
 import json
 import os
 
@@ -38,11 +37,9 @@ def committed():
         return json.load(fh)["sweeps"]
 
 
-def test_committed_history_is_append_only(committed):
-    canon = json.dumps({name: committed[name] for name in HISTORICAL_SWEEPS},
-                       indent=2, sort_keys=True)
-    assert hashlib.sha256(canon.encode()).hexdigest() == \
-        HISTORICAL_SWEEPS_SHA256
+def test_committed_history_is_append_only(assert_history_pinned):
+    assert_history_pinned(BENCH_JSON, "sweeps", HISTORICAL_SWEEPS,
+                          HISTORICAL_SWEEPS_SHA256)
 
 
 def test_committed_containers_sweep_scales_linearly(committed):

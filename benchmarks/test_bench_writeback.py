@@ -14,7 +14,6 @@ contract"):
   ``BENCH_writeback.json``.
 """
 
-import hashlib
 import json
 import os
 
@@ -326,13 +325,9 @@ def test_memcg_sweep_decomposes_exactly_live():
     assert cgroup.mem_cache_bytes <= 2 << 20
 
 
-def test_committed_bench_json_history_is_append_only():
+def test_committed_bench_json_history_is_append_only(assert_history_pinned):
     """Byte-level guard: the pre-memcg scenarios' rows are pinned by hash.
     Regenerating the file may only append new scenarios (or new keys on new
     rows); rewriting published history fails here."""
-    with open(BENCH_JSON) as fh:
-        scenarios = json.load(fh)["scenarios"]
-    historical = {name: scenarios[name] for name in HISTORICAL_SCENARIOS}
-    canon = json.dumps(historical, indent=2, sort_keys=True)
-    assert hashlib.sha256(canon.encode()).hexdigest() == \
-        HISTORICAL_SCENARIOS_SHA256
+    assert_history_pinned(BENCH_JSON, "scenarios", HISTORICAL_SCENARIOS,
+                          HISTORICAL_SCENARIOS_SHA256)

@@ -11,15 +11,12 @@ Cntr's nested namespace (design step #3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.fs.constants import FileMode
 from repro.fs.errors import FsError
-from repro.fs.filesystem import Filesystem
-from repro.fs.inode import DirectoryInode, Inode, RegularInode, SymlinkInode
 from repro.fs.writeback import VmSysctl
 from repro.kernel.namespaces import NamespaceKind, PidNamespace
+from repro.kernel.synthetic import DIR, FILE, LINK, Node, SyntheticFS
 from repro.sim.psi import PSI_RESOURCES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,59 +36,39 @@ TOP_FILES = ("mounts", "filesystems", "uptime", "version", "cpuinfo", "meminfo",
 PRESSURE_FILES = PSI_RESOURCES
 #: Writable ``/proc/sys/vm`` files: the writeback knobs plus drop_caches.
 SYS_VM_FILES = VmSysctl.KNOBS + ("drop_caches",)
+#: The path of the ``/proc/sys/vm`` files below ``/proc``.
+SYS_VM = "sys/vm/"
+
+#: The fixed directories, by path below ``/proc`` (``TOP_DIRS``, beside the
+#: pid directories) and below ``/proc/<pid>`` (``PID_DIRS``): each maps an
+#: entry name to its kind, in listing order.
+TOP_DIRS = {
+    "": {**dict.fromkeys(TOP_FILES, FILE), "sys": DIR, "pressure": DIR},
+    "sys": {"vm": DIR},
+    "sys/vm": dict.fromkeys(SYS_VM_FILES, FILE),
+    "pressure": dict.fromkeys(PRESSURE_FILES, FILE),
+}
+PID_DIRS = {
+    "": {**dict.fromkeys(PID_FILES, FILE), **dict.fromkeys(PID_LINKS, LINK),
+         "ns": DIR, "attr": DIR},
+    "ns": dict.fromkeys(NS_LINKS, LINK),
+    "attr": {"current": FILE, "exec": FILE},
+}
 
 
-@dataclass(frozen=True)
-class ProcEntry:
-    """What a synthetic procfs inode refers to."""
+class ProcFS(SyntheticFS):
+    """A procfs instance bound to a PID namespace.
 
-    kind: str          # "root" | "piddir" | "nsdir" | "attrdir" | "file" |
-                       # "link" | "sysdir" | "sysvmdir" | "sysctl" |
-                       # "pressuredir"
-    pid: int | None
-    name: str
-
-
-class ProcFS(Filesystem):
-    """A procfs instance bound to a PID namespace."""
+    Nodes below ``/proc/<pid>`` belong to the process's global pid, the rest
+    to None; only the ``/proc/sys/vm`` files are writable.
+    """
 
     fs_type = "proc"
-    supports_direct_io = False
-    supports_export_handles = False
-    #: Entries appear and disappear with processes, without any name-mutating
-    #: filesystem call the dentry generation could track — never dcache them.
-    dcacheable = False
+    writable = frozenset(SYS_VM + name for name in SYS_VM_FILES)
 
     def __init__(self, name: str, kernel: "Kernel", pid_ns: PidNamespace) -> None:
-        super().__init__(name, kernel.clock, kernel.costs, kernel.tracer,
-                         capacity_bytes=0)
-        self.kernel = kernel
+        super().__init__(name, kernel)
         self.pid_ns = pid_ns
-        self._entries: dict[int, ProcEntry] = {
-            self.root_ino: ProcEntry("root", None, "/")}
-        self._path_to_ino: dict[tuple[int | None, str, str], int] = {}
-
-    # ------------------------------------------------------------- plumbing
-    def _synthetic_inode(self, entry: ProcEntry) -> Inode:
-        key = (entry.pid, entry.kind, entry.name)
-        ino = self._path_to_ino.get(key)
-        if ino is not None and ino in self._inodes:
-            return self._inodes[ino]
-        if entry.kind in ("piddir", "nsdir", "attrdir", "sysdir", "sysvmdir",
-                          "pressuredir"):
-            inode = DirectoryInode(ino=self._alloc_ino(), mode=FileMode.S_IFDIR | 0o555)
-        elif entry.kind == "link":
-            inode = SymlinkInode(ino=self._alloc_ino(), mode=FileMode.S_IFLNK | 0o777,
-                                 target=self._link_target(entry))
-        elif entry.kind == "sysctl":
-            inode = RegularInode(ino=self._alloc_ino(), mode=FileMode.S_IFREG | 0o644)
-        else:
-            inode = RegularInode(ino=self._alloc_ino(), mode=FileMode.S_IFREG | 0o444)
-        inode.fs_name = self.name
-        self._inodes[inode.ino] = inode
-        self._entries[inode.ino] = entry
-        self._path_to_ino[key] = inode.ino
-        return inode
 
     def _resolve_pid(self, name: str) -> int | None:
         """Translate a directory name (a vpid in this namespace) to a global pid."""
@@ -103,162 +80,40 @@ class ProcFS(Filesystem):
                 return global_pid
         return None
 
-    def entry_of(self, ino: int) -> ProcEntry:
-        """The synthetic entry behind an inode number."""
-        entry = self._entries.get(ino)
-        if entry is None:
-            raise FsError.estale(f"procfs ino {ino}")
-        return entry
-
-    # ------------------------------------------------------------- fs interface
-    def lookup(self, dir_ino: int, name: str) -> Inode:
-        self._charge_metadata("lookup")
-        entry = self.entry_of(dir_ino)
-        if entry.kind == "root":
-            if name == "self":
-                raise FsError.enoent("/proc/self (reader identity not modelled)")
-            if name == "sys":
-                return self._synthetic_inode(ProcEntry("sysdir", None, "sys"))
-            if name == "pressure":
-                return self._synthetic_inode(
-                    ProcEntry("pressuredir", None, "pressure"))
-            if name in TOP_FILES:
-                return self._synthetic_inode(ProcEntry("file", None, name))
+    # ------------------------------------------------------------- tree
+    def child(self, node: Node, name: str) -> Node | None:
+        layout = TOP_DIRS if node.owner is None else PID_DIRS
+        kind = layout[node.name].get(name)
+        if kind is not None:
+            return node.entry(kind, name)
+        if node.owner is None and not node.name:
             pid = self._resolve_pid(name)
             if pid is not None:
-                return self._synthetic_inode(ProcEntry("piddir", pid, name))
-            raise FsError.enoent(name)
-        if entry.kind == "sysdir":
-            if name == "vm":
-                return self._synthetic_inode(ProcEntry("sysvmdir", None, "vm"))
-            raise FsError.enoent(name)
-        if entry.kind == "sysvmdir":
-            if name in SYS_VM_FILES:
-                return self._synthetic_inode(ProcEntry("sysctl", None, name))
-            raise FsError.enoent(name)
-        if entry.kind == "pressuredir":
-            if name in PRESSURE_FILES:
-                return self._synthetic_inode(
-                    ProcEntry("file", None, f"pressure/{name}"))
-            raise FsError.enoent(name)
-        if entry.kind == "piddir":
-            if name == "ns":
-                return self._synthetic_inode(ProcEntry("nsdir", entry.pid, "ns"))
-            if name == "attr":
-                return self._synthetic_inode(ProcEntry("attrdir", entry.pid, "attr"))
-            if name in PID_FILES:
-                return self._synthetic_inode(ProcEntry("file", entry.pid, name))
-            if name in PID_LINKS:
-                return self._synthetic_inode(ProcEntry("link", entry.pid, name))
-            raise FsError.enoent(name)
-        if entry.kind == "nsdir":
-            if name in NS_LINKS:
-                return self._synthetic_inode(ProcEntry("link", entry.pid, f"ns/{name}"))
-            raise FsError.enoent(name)
-        if entry.kind == "attrdir":
-            if name in ("current", "exec"):
-                return self._synthetic_inode(ProcEntry("file", entry.pid, f"attr/{name}"))
-            raise FsError.enoent(name)
-        raise FsError.enotdir(name)
+                return Node(DIR, pid, "")
+        return None
 
-    def readdir(self, dir_ino: int) -> list[tuple[str, int, int]]:
-        self._charge_metadata("readdir")
-        entry = self.entry_of(dir_ino)
-        out = [(".", dir_ino, int(FileMode.S_IFDIR)), ("..", dir_ino, int(FileMode.S_IFDIR))]
-        if entry.kind == "root":
-            for name in TOP_FILES:
-                inode = self._synthetic_inode(ProcEntry("file", None, name))
-                out.append((name, inode.ino, int(FileMode.S_IFREG)))
-            inode = self._synthetic_inode(ProcEntry("sysdir", None, "sys"))
-            out.append(("sys", inode.ino, int(FileMode.S_IFDIR)))
-            inode = self._synthetic_inode(
-                ProcEntry("pressuredir", None, "pressure"))
-            out.append(("pressure", inode.ino, int(FileMode.S_IFDIR)))
+    def children(self, node: Node):
+        layout = TOP_DIRS if node.owner is None else PID_DIRS
+        for name, kind in layout[node.name].items():
+            yield name, node.entry(kind, name)
+        if node.owner is None and not node.name:
             for global_pid in self.pid_ns.member_pids():
-                if global_pid not in self.kernel.processes:
-                    continue
-                vpid = self.pid_ns.vpid_of(global_pid)
-                inode = self._synthetic_inode(ProcEntry("piddir", global_pid, str(vpid)))
-                out.append((str(vpid), inode.ino, int(FileMode.S_IFDIR)))
-        elif entry.kind == "piddir":
-            for name in PID_FILES:
-                inode = self._synthetic_inode(ProcEntry("file", entry.pid, name))
-                out.append((name, inode.ino, int(FileMode.S_IFREG)))
-            for name in PID_LINKS:
-                inode = self._synthetic_inode(ProcEntry("link", entry.pid, name))
-                out.append((name, inode.ino, int(FileMode.S_IFLNK)))
-            for name in ("ns", "attr"):
-                inode = self._synthetic_inode(ProcEntry(f"{name}dir", entry.pid, name))
-                out.append((name, inode.ino, int(FileMode.S_IFDIR)))
-        elif entry.kind == "nsdir":
-            for name in NS_LINKS:
-                inode = self._synthetic_inode(ProcEntry("link", entry.pid, f"ns/{name}"))
-                out.append((name, inode.ino, int(FileMode.S_IFLNK)))
-        elif entry.kind == "attrdir":
-            for name in ("current", "exec"):
-                inode = self._synthetic_inode(ProcEntry("file", entry.pid, f"attr/{name}"))
-                out.append((name, inode.ino, int(FileMode.S_IFREG)))
-        elif entry.kind == "sysdir":
-            inode = self._synthetic_inode(ProcEntry("sysvmdir", None, "vm"))
-            out.append(("vm", inode.ino, int(FileMode.S_IFDIR)))
-        elif entry.kind == "sysvmdir":
-            for name in SYS_VM_FILES:
-                inode = self._synthetic_inode(ProcEntry("sysctl", None, name))
-                out.append((name, inode.ino, int(FileMode.S_IFREG)))
-        elif entry.kind == "pressuredir":
-            for name in PRESSURE_FILES:
-                inode = self._synthetic_inode(
-                    ProcEntry("file", None, f"pressure/{name}"))
-                out.append((name, inode.ino, int(FileMode.S_IFREG)))
-        return out
+                if global_pid in self.kernel.processes:
+                    yield str(self.pid_ns.vpid_of(global_pid)), Node(DIR, global_pid, "")
 
-    def read(self, ino: int, offset: int, size: int) -> bytes:
-        entry = self.entry_of(ino)
-        if entry.kind not in ("file", "sysctl"):
-            raise FsError.eisdir(entry.name)
-        content = self._generate(entry)
-        self._charge_read(ino, offset, min(size, len(content)))
-        return content[offset:offset + size]
-
-    def readlink(self, ino: int) -> str:
-        self._charge_metadata("readlink")
-        entry = self.entry_of(ino)
-        if entry.kind != "link":
-            raise FsError.einval(entry.name)
-        return self._link_target(entry)
-
-    def getattr(self, ino: int):
-        self._charge_metadata("getattr")
-        inode = self.iget(ino)
-        entry = self._entries.get(ino)
-        if entry is not None and entry.kind in ("file", "sysctl") \
-                and isinstance(inode, RegularInode):
-            content = self._generate(entry)
-            inode.data.truncate(0)
-            inode.data.write(0, content)
-        return inode.stat(st_dev=self.fs_id)
-
-    def write(self, ino: int, offset: int, data: bytes) -> int:
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "sysctl":
-            raise FsError.eacces("procfs is read-only in this simulation")
-        text = data.decode("ascii", errors="replace").strip()
+    # ------------------------------------------------------------- writes
+    def parse(self, node: Node, text: str) -> int:
         try:
-            value = int(text.split()[0]) if text else 0
+            return int(text.split()[0]) if text else 0
         except ValueError:
-            raise FsError.einval(f"vm.{entry.name}: {text!r}") from None
-        self._charge_metadata("sysctl")
-        if entry.name == "drop_caches":
+            raise FsError.einval(f"vm.{node.name[len(SYS_VM):]}: {text!r}") from None
+
+    def store(self, node: Node, value: int) -> None:
+        knob = node.name[len(SYS_VM):]
+        if knob == "drop_caches":
             self.kernel.vm.drop_caches(value)
         else:
-            self.kernel.vm.set(entry.name, value)
-        return len(data)
-
-    def truncate(self, ino: int, size: int) -> None:
-        # O_TRUNC on a sysctl file (shell `echo N >` idiom) is a no-op.
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "sysctl":
-            raise FsError.eacces("procfs is read-only in this simulation")
+            self.kernel.vm.set(knob, value)
 
     # ------------------------------------------------------------- content
     def _proc(self, pid: int):
@@ -267,30 +122,20 @@ class ProcFS(Filesystem):
             raise FsError.esrch(f"pid {pid}")
         return proc
 
-    def _link_target(self, entry: ProcEntry) -> str:
-        if entry.pid is None:
-            return ""
-        proc = self._proc(entry.pid)
-        if entry.name.startswith("ns/"):
-            kind = NamespaceKind(entry.name.split("/", 1)[1])
-            return proc.namespaces[kind].proc_link()
-        if entry.name == "root":
-            return "/"
-        if entry.name == "cwd":
-            return proc.cwd_path
-        if entry.name == "exe":
-            return proc.argv[0] if proc.argv else ""
-        return ""
-
-    def _generate(self, entry: ProcEntry) -> bytes:
-        if entry.kind == "sysctl":
-            if entry.name == "drop_caches":
-                return f"{self.kernel.vm.drop_caches_last}\n".encode()
-            return f"{self.kernel.vm.get(entry.name)}\n".encode()
-        if entry.pid is None:
-            return self._generate_top(entry.name)
-        proc = self._proc(entry.pid)
-        name = entry.name
+    def render(self, node: Node) -> bytes:
+        if node.owner is None:
+            return self._render_top(node.name)
+        proc = self._proc(node.owner)
+        name = node.name
+        if name.startswith("ns/"):
+            kind = NamespaceKind(name.split("/", 1)[1])
+            return proc.namespaces[kind].proc_link().encode()
+        if name == "root":
+            return b"/"
+        if name == "cwd":
+            return proc.cwd_path.encode()
+        if name == "exe":
+            return (proc.argv[0] if proc.argv else "").encode()
         if name == "environ":
             return b"\x00".join(f"{k}={v}".encode() for k, v in proc.env.items()) + b"\x00"
         if name == "cmdline":
@@ -344,7 +189,12 @@ class ProcFS(Filesystem):
             return b"\n"
         raise FsError.enoent(name)
 
-    def _generate_top(self, name: str) -> bytes:
+    def _render_top(self, name: str) -> bytes:
+        if name.startswith(SYS_VM):
+            knob = name[len(SYS_VM):]
+            if knob == "drop_caches":
+                return f"{self.kernel.vm.drop_caches_last}\n".encode()
+            return f"{self.kernel.vm.get(knob)}\n".encode()
         if name == "filesystems":
             return b"nodev\tproc\nnodev\ttmpfs\nnodev\tfuse\n\text4\n"
         if name == "uptime":

@@ -1,4 +1,7 @@
-"""Synthetic sysfs surfaces: ``/sys/class/bdi`` and ``/sys/fs/cgroup``.
+"""Synthetic sysfs surfaces: ``/sys/class/bdi``, ``/sys/fs/cgroup`` and tracefs.
+
+All three are :class:`repro.kernel.synthetic.SyntheticFS` filesystems, like
+``/proc``: each supplies its tree, its content and its write handling.
 
 Linux exposes every backing device's writeback state under
 ``/sys/class/bdi/<dev>/``; the knob that matters for the reproduction is
@@ -25,166 +28,76 @@ synchronous reclaim, per Linux semantics), the read-only ``memory.current``
 / ``memory.peak`` / ``memory.stat``, and ``cgroup.procs`` (read the member
 pids, write a pid to move a process, the operation Cntr performs on its
 injected tools).
+
+:class:`TracingFS`, mounted at ``/sys/kernel/debug/tracing``, is the
+ftrace-shaped control surface over the kernel's
+:class:`repro.sim.trace.Tracer`: it lists the tracepoints, selects the ones
+that record, shows or clears the event ring and switches collection on and
+off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.fs.constants import FileMode
 from repro.fs.errors import FsError
-from repro.fs.filesystem import Filesystem
-from repro.fs.inode import DirectoryInode, Inode, RegularInode
+from repro.fs.inode import Inode
 from repro.kernel.cgroups import cpu_shares_from_weight
+from repro.kernel.synthetic import DIR, FILE, Node, SyntheticFS
 from repro.sim.sched import CPU_WEIGHT_MAX, CPU_WEIGHT_MIN
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fs.writeback import BacklogDeviceInfo
     from repro.kernel.cgroups import Cgroup
-    from repro.kernel.kernel import Kernel
 
 #: Files generated inside every ``/sys/class/bdi/<dev>`` directory.
 BDI_FILES = ("read_ahead_kb",)
 
 
-@dataclass(frozen=True)
-class BdiEntry:
-    """What a synthetic bdi-sysfs inode refers to."""
+class BdiSysFS(SyntheticFS):
+    """The ``/sys/class/bdi`` directory, bound to the kernel's BDI registry.
 
-    kind: str          # "root" | "bdidir" | "knob"
-    device: str        # bdi name ("" for the root)
-    name: str
-
-
-class BdiSysFS(Filesystem):
-    """The ``/sys/class/bdi`` directory, bound to the kernel's BDI registry."""
+    A device directory and its files belong to the bdi's name.
+    """
 
     fs_type = "sysfs"
-    supports_direct_io = False
-    supports_export_handles = False
-    #: Device directories appear and disappear with mounts, without any
-    #: name-mutating filesystem call the dentry generation could track.
-    dcacheable = False
+    writable = frozenset(BDI_FILES)
 
-    def __init__(self, name: str, kernel: "Kernel") -> None:
-        super().__init__(name, kernel.clock, kernel.costs, kernel.tracer,
-                         capacity_bytes=0)
-        self.kernel = kernel
-        self._entries: dict[int, BdiEntry] = {
-            self.root_ino: BdiEntry("root", "", "/")}
-        self._path_to_ino: dict[tuple[str, str, str], int] = {}
-
-    # ------------------------------------------------------------- plumbing
     def _bdi(self, device: str) -> "BacklogDeviceInfo":
         bdi = self.kernel.vm.bdis().get(device)
         if bdi is None:
             raise FsError.enoent(f"/sys/class/bdi/{device}")
         return bdi
 
-    def _synthetic_inode(self, entry: BdiEntry) -> Inode:
-        key = (entry.kind, entry.device, entry.name)
-        ino = self._path_to_ino.get(key)
-        if ino is not None and ino in self._inodes:
-            return self._inodes[ino]
-        if entry.kind == "bdidir":
-            inode = DirectoryInode(ino=self._alloc_ino(),
-                                   mode=FileMode.S_IFDIR | 0o555)
-        else:
-            inode = RegularInode(ino=self._alloc_ino(),
-                                 mode=FileMode.S_IFREG | 0o644)
-        inode.fs_name = self.name
-        self._inodes[inode.ino] = inode
-        self._entries[inode.ino] = entry
-        self._path_to_ino[key] = inode.ino
-        return inode
+    def child(self, node: Node, name: str) -> Node | None:
+        if node.owner is None:
+            return Node(DIR, name, "") if name in self.kernel.vm.bdis() else None
+        if name in BDI_FILES:
+            self._bdi(node.owner)          # ENOENT once the mount is gone
+            return node.entry(FILE, name)
+        return None
 
-    def entry_of(self, ino: int) -> BdiEntry:
-        """The synthetic entry behind an inode number."""
-        entry = self._entries.get(ino)
-        if entry is None:
-            raise FsError.estale(f"bdi sysfs ino {ino}")
-        return entry
+    def children(self, node: Node):
+        if node.owner is None:
+            return [(device, Node(DIR, device, "")) for device in self.kernel.vm.bdis()]
+        return [(name, node.entry(FILE, name)) for name in BDI_FILES]
 
-    def _generate(self, entry: BdiEntry) -> bytes:
-        bdi = self._bdi(entry.device)
-        if entry.name == "read_ahead_kb":
-            # The effective window (knob, or the filesystem's default),
-            # rendered in KiB as Linux does.
-            return f"{bdi.read_ahead_bytes >> 10}\n".encode()
-        raise FsError.enoent(entry.name)
+    def render(self, node: Node) -> bytes:
+        # read_ahead_kb: the effective window (knob, or the filesystem's
+        # default), rendered in KiB as Linux does.
+        return f"{self._bdi(node.owner).read_ahead_bytes >> 10}\n".encode()
 
-    # ------------------------------------------------------------- fs interface
-    def lookup(self, dir_ino: int, name: str) -> Inode:
-        self._charge_metadata("lookup")
-        entry = self.entry_of(dir_ino)
-        if entry.kind == "root":
-            if name in self.kernel.vm.bdis():
-                return self._synthetic_inode(BdiEntry("bdidir", name, name))
-            raise FsError.enoent(name)
-        if entry.kind == "bdidir":
-            if name in BDI_FILES:
-                self._bdi(entry.device)          # ESTALE once the mount is gone
-                return self._synthetic_inode(BdiEntry("knob", entry.device, name))
-            raise FsError.enoent(name)
-        raise FsError.enotdir(name)
-
-    def readdir(self, dir_ino: int) -> list[tuple[str, int, int]]:
-        self._charge_metadata("readdir")
-        entry = self.entry_of(dir_ino)
-        out = [(".", dir_ino, int(FileMode.S_IFDIR)),
-               ("..", dir_ino, int(FileMode.S_IFDIR))]
-        if entry.kind == "root":
-            for device in self.kernel.vm.bdis():
-                inode = self._synthetic_inode(BdiEntry("bdidir", device, device))
-                out.append((device, inode.ino, int(FileMode.S_IFDIR)))
-        elif entry.kind == "bdidir":
-            for name in BDI_FILES:
-                inode = self._synthetic_inode(BdiEntry("knob", entry.device, name))
-                out.append((name, inode.ino, int(FileMode.S_IFREG)))
-        return out
-
-    def read(self, ino: int, offset: int, size: int) -> bytes:
-        entry = self.entry_of(ino)
-        if entry.kind != "knob":
-            raise FsError.eisdir(entry.name)
-        content = self._generate(entry)
-        self._charge_read(ino, offset, min(size, len(content)))
-        return content[offset:offset + size]
-
-    def getattr(self, ino: int):
-        self._charge_metadata("getattr")
-        inode = self.iget(ino)
-        entry = self._entries.get(ino)
-        if entry is not None and entry.kind == "knob" \
-                and isinstance(inode, RegularInode):
-            content = self._generate(entry)
-            inode.data.truncate(0)
-            inode.data.write(0, content)
-        return inode.stat(st_dev=self.fs_id)
-
-    def write(self, ino: int, offset: int, data: bytes) -> int:
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "knob":
-            raise FsError.eacces("bdi sysfs directories are read-only")
-        text = data.decode("ascii", errors="replace").strip()
+    def parse(self, node: Node, text: str) -> int:
         try:
             value = int(text.split()[0]) if text else 0
         except ValueError:
-            raise FsError.einval(f"bdi.{entry.name}: {text!r}") from None
+            raise FsError.einval(f"bdi.{node.name}: {text!r}") from None
         if value < 0:
-            raise FsError.einval(f"bdi.{entry.name} = {value}")
-        self._charge_metadata("sysctl")
-        bdi = self._bdi(entry.device)
-        if entry.name == "read_ahead_kb":
-            bdi.read_ahead_kb = value
-        return len(data)
+            raise FsError.einval(f"bdi.{node.name} = {value}")
+        return value
 
-    def truncate(self, ino: int, size: int) -> None:
-        # O_TRUNC on a knob file (shell `echo N >` idiom) is a no-op.
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "knob":
-            raise FsError.eacces("bdi sysfs directories are read-only")
+    def store(self, node: Node, value: int) -> None:
+        self._bdi(node.owner).read_ahead_kb = value
 
 
 # ---------------------------------------------------------------------------
@@ -204,231 +117,125 @@ CPU_PERIOD_MIN_US = 1_000
 CPU_PERIOD_MAX_US = 1_000_000
 
 
-@dataclass(frozen=True)
-class CgroupEntry:
-    """What a synthetic cgroupfs inode refers to."""
+class CgroupFS(SyntheticFS):
+    """The ``/sys/fs/cgroup`` mount, bound to the kernel's cgroup hierarchy.
 
-    kind: str          # "dir" | "knob"
-    cg_path: str       # cgroup path within the hierarchy ("/" for the root)
-    name: str
-
-
-class CgroupFS(Filesystem):
-    """The ``/sys/fs/cgroup`` mount, bound to the kernel's cgroup hierarchy."""
+    A cgroup's directory and files belong to its path; ``rmdir`` drops them
+    with the cgroup, so a later cgroup of the same path gets new inodes.
+    """
 
     fs_type = "cgroup2"
-    supports_direct_io = False
-    supports_export_handles = False
-    #: Directories appear with ``CgroupHierarchy.create`` calls made by
-    #: container engines, not only through this filesystem's own mkdir, so
-    #: the dentry generation cannot track the namespace.
-    dcacheable = False
+    dir_mode = 0o755
+    writable = frozenset(CGROUP_WRITABLE)
+    root_owner = "/"
 
-    def __init__(self, name: str, kernel: "Kernel") -> None:
-        super().__init__(name, kernel.clock, kernel.costs, kernel.tracer,
-                         capacity_bytes=0)
-        self.kernel = kernel
-        self._entries: dict[int, CgroupEntry] = {
-            self.root_ino: CgroupEntry("dir", "/", "/")}
-        self._path_to_ino: dict[tuple[str, str, str], int] = {}
-
-    # ------------------------------------------------------------- plumbing
     def _cgroup(self, path: str) -> "Cgroup":
         return self.kernel.cgroups.lookup(path)
-
-    def _synthetic_inode(self, entry: CgroupEntry) -> Inode:
-        key = (entry.kind, entry.cg_path, entry.name)
-        ino = self._path_to_ino.get(key)
-        if ino is not None and ino in self._inodes:
-            return self._inodes[ino]
-        if entry.kind == "dir":
-            inode = DirectoryInode(ino=self._alloc_ino(),
-                                   mode=FileMode.S_IFDIR | 0o755)
-        else:
-            mode = 0o644 if entry.name in CGROUP_WRITABLE else 0o444
-            inode = RegularInode(ino=self._alloc_ino(),
-                                 mode=FileMode.S_IFREG | mode)
-        inode.fs_name = self.name
-        self._inodes[inode.ino] = inode
-        self._entries[inode.ino] = entry
-        self._path_to_ino[key] = inode.ino
-        return inode
-
-    def entry_of(self, ino: int) -> CgroupEntry:
-        """The synthetic entry behind an inode number."""
-        entry = self._entries.get(ino)
-        if entry is None:
-            raise FsError.estale(f"cgroupfs ino {ino}")
-        return entry
 
     @staticmethod
     def _child_path(parent_path: str, name: str) -> str:
         return f"{parent_path.rstrip('/')}/{name}"
 
-    def _forget_path(self, path: str) -> None:
-        """Drop the synthetic inodes of a removed cgroup directory."""
-        for key in [k for k in self._path_to_ino if k[1] == path]:
-            ino = self._path_to_ino.pop(key)
-            self._inodes.pop(ino, None)
-            self._entries.pop(ino, None)
-
-    # ------------------------------------------------------------- fs interface
-    def lookup(self, dir_ino: int, name: str) -> Inode:
-        self._charge_metadata("lookup")
-        entry = self.entry_of(dir_ino)
-        if entry.kind != "dir":
-            raise FsError.enotdir(name)
-        cgroup = self._cgroup(entry.cg_path)
+    # ------------------------------------------------------------- tree
+    def child(self, node: Node, name: str) -> Node | None:
+        cgroup = self._cgroup(node.owner)
         if name in CGROUP_FILES:
-            return self._synthetic_inode(CgroupEntry("knob", entry.cg_path, name))
+            return node.entry(FILE, name)
         if name in cgroup.children:
-            child_path = self._child_path(entry.cg_path, name)
-            return self._synthetic_inode(CgroupEntry("dir", child_path, name))
-        raise FsError.enoent(name)
+            return Node(DIR, self._child_path(node.owner, name), "")
+        return None
 
-    def readdir(self, dir_ino: int) -> list[tuple[str, int, int]]:
-        self._charge_metadata("readdir")
-        entry = self.entry_of(dir_ino)
-        if entry.kind != "dir":
-            raise FsError.enotdir(entry.name)
-        cgroup = self._cgroup(entry.cg_path)
-        out = [(".", dir_ino, int(FileMode.S_IFDIR)),
-               ("..", dir_ino, int(FileMode.S_IFDIR))]
-        for name in CGROUP_FILES:
-            inode = self._synthetic_inode(CgroupEntry("knob", entry.cg_path, name))
-            out.append((name, inode.ino, int(FileMode.S_IFREG)))
-        for name in cgroup.children:
-            child_path = self._child_path(entry.cg_path, name)
-            inode = self._synthetic_inode(CgroupEntry("dir", child_path, name))
-            out.append((name, inode.ino, int(FileMode.S_IFDIR)))
-        return out
+    def children(self, node: Node):
+        cgroup = self._cgroup(node.owner)
+        return ([(name, node.entry(FILE, name)) for name in CGROUP_FILES]
+                + [(name, Node(DIR, self._child_path(node.owner, name), ""))
+                   for name in cgroup.children])
 
     def mkdir(self, dir_ino: int, name: str, mode: int, uid: int = 0,
-              gid: int = 0) -> DirectoryInode:
+              gid: int = 0) -> Inode:
         self._charge_metadata("mkdir")
-        entry = self.entry_of(dir_ino)
-        if entry.kind != "dir":
+        node = self.node_of(dir_ino)
+        if node.kind != DIR:
             raise FsError.enotdir(name)
-        parent = self._cgroup(entry.cg_path)
+        parent = self._cgroup(node.owner)
         if "/" in name or not name or name in CGROUP_FILES:
             raise FsError.einval(name)
         if name in parent.children:
             raise FsError.eexist(name)
-        child_path = self._child_path(entry.cg_path, name)
+        child_path = self._child_path(node.owner, name)
         self.kernel.cgroups.create(child_path)
-        inode = self._synthetic_inode(CgroupEntry("dir", child_path, name))
-        assert isinstance(inode, DirectoryInode)
-        return inode
+        return self._inode(Node(DIR, child_path, ""))
 
     def rmdir(self, dir_ino: int, name: str) -> None:
         self._charge_metadata("rmdir")
-        entry = self.entry_of(dir_ino)
-        if entry.kind != "dir":
+        node = self.node_of(dir_ino)
+        if node.kind != DIR:
             raise FsError.enotdir(name)
-        parent = self._cgroup(entry.cg_path)
+        parent = self._cgroup(node.owner)
         if name not in parent.children:
             raise FsError.enoent(name)
-        child_path = self._child_path(entry.cg_path, name)
+        child_path = self._child_path(node.owner, name)
         # EBUSY while member processes or children remain, as in Linux.
         self.kernel.cgroups.remove(child_path)
-        self._forget_path(child_path)
-
-    # The rest of the namespace is immutable: cgroupfs only ever contains
-    # cgroup directories and controller files.
-    def create(self, dir_ino: int, name: str, mode: int, uid: int = 0, gid: int = 0):
-        raise FsError.eacces("cgroupfs does not support regular files")
-
-    def unlink(self, dir_ino: int, name: str) -> None:
-        raise FsError.eacces("cgroupfs files cannot be unlinked")
-
-    def rename(self, old_dir: int, old_name: str, new_dir: int, new_name: str,
-               flags: int = 0) -> None:
-        raise FsError.eacces("cgroupfs entries cannot be renamed")
-
-    def symlink(self, dir_ino: int, name: str, target: str, uid: int = 0, gid: int = 0):
-        raise FsError.eacces("cgroupfs does not support symlinks")
-
-    def mknod(self, dir_ino: int, name: str, mode: int, rdev: int = 0,
-              uid: int = 0, gid: int = 0):
-        raise FsError.eacces("cgroupfs does not support device nodes")
+        self._forget(child_path)
 
     # ------------------------------------------------------------- content
-    def _generate(self, entry: CgroupEntry) -> bytes:
-        cgroup = self._cgroup(entry.cg_path)
-        if entry.name == "memory.current":
+    def render(self, node: Node) -> bytes:
+        cgroup = self._cgroup(node.owner)
+        if node.name == "memory.current":
             return f"{cgroup.mem_cache_bytes}\n".encode()
-        if entry.name == "memory.peak":
+        if node.name == "memory.peak":
             return f"{cgroup.stats_memory_peak}\n".encode()
-        if entry.name in ("memory.max", "memory.high"):
-            limit = cgroup.limits.memory_limit_bytes if entry.name == "memory.max" \
+        if node.name in ("memory.max", "memory.high"):
+            limit = cgroup.limits.memory_limit_bytes if node.name == "memory.max" \
                 else cgroup.limits.memory_high_bytes
             if limit is None or limit <= 0:
                 return b"max\n"
             return f"{limit}\n".encode()
-        if entry.name == "memory.stat":
+        if node.name == "memory.stat":
             return self.kernel.memcg.memory_stat_text(cgroup).encode()
-        if entry.name == "cpu.max":
+        if node.name == "cpu.max":
             return cgroup.limits.cpu_max_text().encode()
-        if entry.name == "cpu.weight":
+        if node.name == "cpu.weight":
             return f"{cgroup.limits.cpu_weight()}\n".encode()
-        if entry.name == "cpu.stat":
+        if node.name == "cpu.stat":
             stats = cgroup.cpu_stats
             return (f"usage_usec {stats.usage_ns // 1_000}\n"
                     f"nr_periods {stats.nr_periods}\n"
                     f"nr_throttled {stats.nr_throttled}\n"
                     f"throttled_usec {stats.throttled_ns // 1_000}\n").encode()
-        if entry.name == "cgroup.procs":
+        if node.name == "cgroup.procs":
             return "".join(f"{pid}\n" for pid in sorted(cgroup.procs)).encode()
-        if entry.name.endswith(".pressure"):
-            resource = entry.name.rsplit(".", 1)[0]
+        if node.name.endswith(".pressure"):
+            resource = node.name.rsplit(".", 1)[0]
             now_ns = self.kernel.clock.now_ns
             return cgroup.psi.render(resource, now_ns).encode()
-        if entry.name == "io.stat":
+        if node.name == "io.stat":
             rows = [f"{dev} rbytes={s.rbytes} wbytes={s.wbytes}"
                     f" rios={s.rios} wios={s.wios}\n"
                     for dev, s in sorted(cgroup.io_stats.items())]
             return "".join(rows).encode()
-        raise FsError.enoent(entry.name)
+        raise FsError.enoent(node.name)
 
-    def read(self, ino: int, offset: int, size: int) -> bytes:
-        entry = self.entry_of(ino)
-        if entry.kind != "knob":
-            raise FsError.eisdir(entry.name)
-        content = self._generate(entry)
-        self._charge_read(ino, offset, min(size, len(content)))
-        return content[offset:offset + size]
+    # ------------------------------------------------------------- writes
+    def parse(self, node: Node, text: str) -> str:
+        # Only the cgroup's existence is checked before the charge; store()
+        # checks the value after it.
+        self._cgroup(node.owner)
+        return text
 
-    def getattr(self, ino: int):
-        self._charge_metadata("getattr")
-        inode = self.iget(ino)
-        entry = self._entries.get(ino)
-        if entry is not None:
-            self._cgroup(entry.cg_path)      # ENOENT once the cgroup is gone
-            if entry.kind == "knob" and isinstance(inode, RegularInode):
-                content = self._generate(entry)
-                inode.data.truncate(0)
-                inode.data.write(0, content)
-        return inode.stat(st_dev=self.fs_id)
-
-    def write(self, ino: int, offset: int, data: bytes) -> int:
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "knob":
-            raise FsError.eacces("cgroupfs directories are read-only")
-        if entry.name not in CGROUP_WRITABLE:
-            raise FsError.eacces(f"{entry.name} is read-only")
-        cgroup = self._cgroup(entry.cg_path)
-        text = data.decode("ascii", errors="replace").strip()
-        self._charge_metadata("sysctl")
-        if entry.name == "cgroup.procs":
+    def store(self, node: Node, text: str) -> None:
+        cgroup = self._cgroup(node.owner)
+        if node.name == "cgroup.procs":
             try:
                 pid = int(text)
             except ValueError:
                 raise FsError.einval(f"cgroup.procs: {text!r}") from None
             if pid not in self.kernel.processes:
                 raise FsError.esrch(f"pid {pid}")
-            self.kernel.cgroups.attach(pid, entry.cg_path)
-            return len(data)
-        if entry.name == "cpu.weight":
+            self.kernel.cgroups.attach(pid, node.owner)
+            return
+        if node.name == "cpu.weight":
             try:
                 weight = int(text)
             except ValueError:
@@ -436,8 +243,8 @@ class CgroupFS(Filesystem):
             if not CPU_WEIGHT_MIN <= weight <= CPU_WEIGHT_MAX:
                 raise FsError.einval(f"cpu.weight = {weight}")
             cgroup.limits.cpu_shares = cpu_shares_from_weight(weight)
-            return len(data)
-        if entry.name == "cpu.max":
+            return
+        if node.name == "cpu.max":
             # "$MAX $PERIOD": quota "max" or usec >= 1000; the period is
             # optional (keeping the current one) and bounded like CFS.
             fields = text.split()
@@ -462,34 +269,27 @@ class CgroupFS(Filesystem):
                     raise FsError.einval(f"cpu.max period = {period}")
             cgroup.limits.cpu_quota_us = quota
             cgroup.limits.cpu_period_us = period
-            return len(data)
+            return
         # memory.max / memory.high: "max" (or 0) means unlimited, as on Linux.
         if text == "max":
-            value = None
+            limit = None
         else:
             try:
-                value = int(text)
+                limit = int(text)
             except ValueError:
-                raise FsError.einval(f"{entry.name}: {text!r}") from None
-            if value < 0:
-                raise FsError.einval(f"{entry.name} = {value}")
-            if value == 0:
-                value = None
-        if entry.name == "memory.max":
-            cgroup.limits.memory_limit_bytes = value
-            if value is not None and cgroup.mem_cache_bytes > value:
+                raise FsError.einval(f"{node.name}: {text!r}") from None
+            if limit < 0:
+                raise FsError.einval(f"{node.name} = {limit}")
+            if limit == 0:
+                limit = None
+        if node.name == "memory.max":
+            cgroup.limits.memory_limit_bytes = limit
+            if limit is not None and cgroup.mem_cache_bytes > limit:
                 # Linux reclaims synchronously when the new limit sits below
                 # the current usage instead of rejecting the write.
                 self.kernel.memcg.enforce(cgroup)
         else:
-            cgroup.limits.memory_high_bytes = value
-        return len(data)
-
-    def truncate(self, ino: int, size: int) -> None:
-        # O_TRUNC on a knob file (shell `echo N >` idiom) is a no-op.
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "knob":
-            raise FsError.eacces("cgroupfs directories are read-only")
+            cgroup.limits.memory_high_bytes = limit
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +301,7 @@ TRACING_FILES = ("available_events", "set_event", "trace", "tracing_on")
 TRACING_WRITABLE = ("set_event", "trace", "tracing_on")
 
 
-@dataclass(frozen=True)
-class TracingEntry:
-    """What a synthetic tracefs inode refers to."""
-
-    kind: str          # "root" | "file"
-    name: str
-
-
-class TracingFS(Filesystem):
+class TracingFS(SyntheticFS):
     """The ``/sys/kernel/debug/tracing`` mount, bound to the kernel tracer.
 
     A small ftrace-shaped control surface over :class:`repro.sim.trace.Tracer`:
@@ -523,50 +315,25 @@ class TracingFS(Filesystem):
     """
 
     fs_type = "tracefs"
-    supports_direct_io = False
-    supports_export_handles = False
-    dcacheable = False
+    writable = frozenset(TRACING_WRITABLE)
 
-    def __init__(self, name: str, kernel: "Kernel") -> None:
-        super().__init__(name, kernel.clock, kernel.costs, kernel.tracer,
-                         capacity_bytes=0)
-        self.kernel = kernel
-        self._entries: dict[int, TracingEntry] = {
-            self.root_ino: TracingEntry("root", "/")}
-        self._path_to_ino: dict[str, int] = {}
+    def child(self, node: Node, name: str) -> Node | None:
+        return node.entry(FILE, name) if name in TRACING_FILES else None
 
-    # ------------------------------------------------------------- plumbing
-    def _synthetic_inode(self, entry: TracingEntry) -> Inode:
-        ino = self._path_to_ino.get(entry.name)
-        if ino is not None and ino in self._inodes:
-            return self._inodes[ino]
-        mode = 0o644 if entry.name in TRACING_WRITABLE else 0o444
-        inode = RegularInode(ino=self._alloc_ino(),
-                             mode=FileMode.S_IFREG | mode)
-        inode.fs_name = self.name
-        self._inodes[inode.ino] = inode
-        self._entries[inode.ino] = entry
-        self._path_to_ino[entry.name] = inode.ino
-        return inode
+    def children(self, node: Node):
+        return [(name, node.entry(FILE, name)) for name in TRACING_FILES]
 
-    def entry_of(self, ino: int) -> TracingEntry:
-        """The synthetic entry behind an inode number."""
-        entry = self._entries.get(ino)
-        if entry is None:
-            raise FsError.estale(f"tracefs ino {ino}")
-        return entry
-
-    def _generate(self, entry: TracingEntry) -> bytes:
+    def render(self, node: Node) -> bytes:
         tracer = self.kernel.tracer
-        if entry.name == "available_events":
+        if node.name == "available_events":
             return "".join(f"{name}\n"
                            for name in tracer.available_events()).encode()
-        if entry.name == "set_event":
+        if node.name == "set_event":
             return "".join(f"{name}\n"
                            for name in sorted(tracer.event_filter)).encode()
-        if entry.name == "tracing_on":
+        if node.name == "tracing_on":
             return b"1\n" if tracer.enabled else b"0\n"
-        if entry.name == "trace":
+        if node.name == "trace":
             events = list(tracer.events())
             lines = [f"# tracer: repro\n"
                      f"# entries: {len(events)} dropped: {tracer.dropped}\n"]
@@ -578,72 +345,24 @@ class TracingFS(Filesystem):
                     row += f" {ev.detail}"
                 lines.append(row + "\n")
             return "".join(lines).encode()
-        raise FsError.enoent(entry.name)
+        raise FsError.enoent(node.name)
 
-    # ------------------------------------------------------------- fs interface
-    def lookup(self, dir_ino: int, name: str) -> Inode:
-        self._charge_metadata("lookup")
-        entry = self.entry_of(dir_ino)
-        if entry.kind != "root":
-            raise FsError.enotdir(name)
-        if name in TRACING_FILES:
-            return self._synthetic_inode(TracingEntry("file", name))
-        raise FsError.enoent(name)
-
-    def readdir(self, dir_ino: int) -> list[tuple[str, int, int]]:
-        self._charge_metadata("readdir")
-        entry = self.entry_of(dir_ino)
-        if entry.kind != "root":
-            raise FsError.enotdir(entry.name)
-        out = [(".", dir_ino, int(FileMode.S_IFDIR)),
-               ("..", dir_ino, int(FileMode.S_IFDIR))]
-        for name in TRACING_FILES:
-            inode = self._synthetic_inode(TracingEntry("file", name))
-            out.append((name, inode.ino, int(FileMode.S_IFREG)))
-        return out
-
-    def read(self, ino: int, offset: int, size: int) -> bytes:
-        entry = self.entry_of(ino)
-        if entry.kind != "file":
-            raise FsError.eisdir(entry.name)
-        content = self._generate(entry)
-        self._charge_read(ino, offset, min(size, len(content)))
-        return content[offset:offset + size]
-
-    def getattr(self, ino: int):
-        self._charge_metadata("getattr")
-        inode = self.iget(ino)
-        entry = self._entries.get(ino)
-        if entry is not None and entry.kind == "file" \
-                and isinstance(inode, RegularInode):
-            content = self._generate(entry)
-            inode.data.truncate(0)
-            inode.data.write(0, content)
-        return inode.stat(st_dev=self.fs_id)
-
-    def write(self, ino: int, offset: int, data: bytes) -> int:
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "file":
-            raise FsError.eacces("tracefs is a flat directory")
-        if entry.name not in TRACING_WRITABLE:
-            raise FsError.eacces(f"{entry.name} is read-only")
+    def store(self, node: Node, text: str) -> None:
         tracer = self.kernel.tracer
-        text = data.decode("ascii", errors="replace").strip()
-        self._charge_metadata("sysctl")
-        if entry.name == "tracing_on":
+        if node.name == "tracing_on":
             if text not in ("0", "1"):
                 raise FsError.einval(f"tracing_on: {text!r}")
             tracer.enabled = text == "1"
-            return len(data)
-        if entry.name == "trace":
+            return
+        if node.name == "trace":
             # Any write clears the ring, matching `echo > trace`.
             tracer.clear()
-            return len(data)
+            return
         # set_event: one directive per whitespace-separated token.
         tokens = text.split()
         if not tokens:
             tracer.clear_events()
-            return len(data)
+            return
         for token in tokens:
             enable = not token.startswith("!")
             name = token.lstrip("!")
@@ -651,14 +370,9 @@ class TracingFS(Filesystem):
                 tracer.set_event(name, enable=enable)
             except ValueError as exc:
                 raise FsError.einval(str(exc)) from None
-        return len(data)
 
     def truncate(self, ino: int, size: int) -> None:
-        # O_TRUNC from the `echo > trace` idiom: clear the ring.
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "file":
-            raise FsError.eacces("tracefs is a flat directory")
-        if entry.name not in TRACING_WRITABLE:
-            raise FsError.eacces(f"{entry.name} is read-only")
-        if entry.name == "trace":
+        super().truncate(ino, size)
+        # `echo > trace` opens with O_TRUNC, which clears the ring on Linux.
+        if self.node_of(ino).name == "trace":
             self.kernel.tracer.clear()

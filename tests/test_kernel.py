@@ -4,7 +4,7 @@ import errno
 
 import pytest
 
-from repro.fs.constants import OpenFlags
+from repro.fs.constants import FileMode, OpenFlags
 from repro.fs.errors import FsError
 from repro.kernel.capabilities import CapabilitySet, DOCKER_DEFAULT_CAPS
 from repro.kernel.namespaces import NamespaceKind
@@ -270,6 +270,63 @@ class TestProcSysVm:
         with pytest.raises(FsError):
             fd = sc.open("/proc/version", OpenFlags.O_WRONLY)
             sc.write(fd, b"nope")
+
+
+def _errno_of(call, *args) -> int:
+    with pytest.raises(FsError) as exc:
+        call(*args)
+    return exc.value.errno
+
+
+class TestSyntheticFilesystems:
+    """/proc, /sys/class/bdi, /sys/fs/cgroup and tracefs share one base."""
+
+    #: (mount, an existing file, an existing directory below the mount or
+    #: None); "{bdi}" is the rootfs device's bdi name.
+    MOUNTS = [
+        ("/proc", "/proc/uptime", "/proc/sys"),
+        ("/sys/class/bdi", "/sys/class/bdi/{bdi}/read_ahead_kb", "/sys/class/bdi/{bdi}"),
+        ("/sys/fs/cgroup", "/sys/fs/cgroup/memory.current", None),
+        ("/sys/kernel/debug/tracing", "/sys/kernel/debug/tracing/trace", None),
+    ]
+
+    @pytest.mark.parametrize("mount,existing,directory", MOUNTS,
+                             ids=[m[0] for m in MOUNTS])
+    def test_namespace_changes_are_refused(self, machine, mount, existing, directory):
+        # Only the kernel adds or removes entries; cgroupfs's mkdir/rmdir,
+        # which create and remove cgroups, are the one exception.
+        sc = machine.syscalls
+        bdi = machine.rootfs.device.bdi.name
+        existing = existing.format(bdi=bdi)
+        before = sc.listdir(mount)
+        calls = [
+            (sc.open, f"{mount}/new", OpenFlags.O_CREAT | OpenFlags.O_WRONLY),
+            (sc.mknod, f"{mount}/fifo", FileMode.S_IFIFO | 0o644),
+            (sc.symlink, "/", f"{mount}/symlink"),
+            (sc.link, existing, f"{mount}/hardlink"),
+            (sc.unlink, existing),
+            (sc.rename, existing, f"{mount}/renamed"),
+        ]
+        if directory is not None:
+            calls += [(sc.mkdir, f"{mount}/dir"), (sc.rmdir, directory.format(bdi=bdi))]
+        for call, *args in calls:
+            assert _errno_of(call, *args) == errno.EACCES, call.__name__
+        assert sc.listdir(mount) == before
+        for name in ("new", "fifo", "symlink", "hardlink", "renamed", "dir"):
+            assert _errno_of(sc.stat, f"{mount}/{name}") == errno.ENOENT
+
+    @pytest.mark.parametrize("path", ["/proc/uptime", "/proc/1/status",
+                                      "/proc/sys/vm/dirty_bytes",
+                                      "/sys/class/bdi/{bdi}/read_ahead_kb"])
+    def test_listing_a_file_is_enotdir(self, machine, path):
+        path = path.format(bdi=machine.rootfs.device.bdi.name)
+        assert _errno_of(machine.syscalls.listdir, path) == errno.ENOTDIR
+
+    @pytest.mark.parametrize("name", ["memory.current", "memory.stat", "cpu.stat"])
+    def test_truncating_a_read_only_cgroup_file_is_eacces(self, machine, name):
+        path = f"/sys/fs/cgroup/{name}"
+        flags = OpenFlags.O_WRONLY | OpenFlags.O_TRUNC
+        assert _errno_of(machine.syscalls.open, path, flags) == errno.EACCES
 
 
 class TestIpcObjects:
