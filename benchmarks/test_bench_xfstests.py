@@ -11,10 +11,10 @@ from repro.xfstests import (
 
 def test_xfstests_cntrfs_pass_rate():
     summary = XfstestsRunner(cntrfs_environment).run()
-    assert summary.passed == 205 and summary.total == 209
+    assert summary.passed == 206 and summary.total == 210
     assert sorted(summary.failing_ids()) == sorted(PAPER_FAILING_TESTS)
 
 
 def test_xfstests_native_baseline():
     summary = XfstestsRunner(native_environment).run()
-    assert summary.passed == summary.total == 209
+    assert summary.passed == summary.total == 210

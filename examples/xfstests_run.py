@@ -2,9 +2,9 @@
 """Run the xfstests generic group against CntrFS and the native baseline.
 
 Reproduces the paper's §5.1 table.  The paper reports 90 of 94 generic
-tests passing on CntrFS mounted over tmpfs; this repository's 209-case
-generic group passes 205 of 209 there, failing the paper's same four
-(generic/228, 375, 391, 426), and all 209 on the native baseline.
+tests passing on CntrFS mounted over tmpfs; this repository's 210-case
+generic group passes 206 of 210 there, failing the paper's same four
+(generic/228, 375, 391, 426), and all 210 on the native baseline.
 
 Run with:  python examples/xfstests_run.py
 """

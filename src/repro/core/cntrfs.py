@@ -17,7 +17,6 @@ detect hard links, which is what makes cold-cache, lookup-heavy workloads
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 from repro.fs.errors import FsError
 from repro.fs.inode import RegularInode, SymlinkInode
@@ -29,16 +28,6 @@ from repro.kernel.process import Process
 
 #: The FUSE root nodeid.
 ROOT_NODEID = 1
-
-
-@dataclass
-class CntrFsStats:
-    """Server-side statistics specific to CntrFS."""
-
-    lookups: int = 0
-    hardlink_checks: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
 
 
 class CntrFS(FuseServer):
@@ -61,7 +50,6 @@ class CntrFS(FuseServer):
         self._by_key: dict[tuple[int, int], int] = {(root.fs.fs_id, root.ino): ROOT_NODEID}
         self._next_nodeid = 2
         self._open_counts: dict[int, int] = {}
-        self.cntr_stats = CntrFsStats()
 
     # ------------------------------------------------------------- node table
     def _vnode(self, nodeid: int) -> VNode:
@@ -82,24 +70,23 @@ class CntrFS(FuseServer):
         self._by_key[key] = nodeid
         return nodeid
 
-    def node_count(self) -> int:
-        """Number of live nodeids."""
-        return len(self._nodes)
-
     def _attr_of(self, vnode: VNode):
         return self.attr_from_stat(vnode.fs.getattr(vnode.ino))
 
-    def _creds(self):
-        return self.server_process.credentials()
-
     # ------------------------------------------------------------- handlers
+    def _acknowledge(self, request: FuseRequest) -> FuseReply:
+        return FuseReply(unique=request.unique)
+
+    #: INIT accepts every option the client negotiates, OPENDIR needs no
+    #: handle (READDIR lists by nodeid) and BATCH_FORGET drops nothing: a
+    #: nodeid stays registered, so a later LOOKUP of its inode reuses it.
+    op_init = op_opendir = op_batch_forget = _acknowledge
+
     def op_lookup(self, request: FuseRequest) -> FuseReply:
         parent = self._vnode(request.nodeid)
         name = request.args["name"]
-        self.cntr_stats.lookups += 1
         # The open()+stat() pair CntrFS performs to detect whether the inode
         # was already seen under a different path (hard links).
-        self.cntr_stats.hardlink_checks += 1
         self.kernel.clock.advance(self.kernel.costs.fuse_lookup_userspace_ns)
         child_inode = parent.fs.lookup(parent.ino, name)
         child = VNode(parent.mount, child_inode.ino)
@@ -189,6 +176,8 @@ class CntrFS(FuseServer):
                          args["new_name"], args.get("flags", 0))
         return FuseReply(unique=request.unique)
 
+    op_rename2 = op_rename
+
     def op_link(self, request: FuseRequest) -> FuseReply:
         parent = self._vnode(request.nodeid)
         args = request.args
@@ -219,6 +208,8 @@ class CntrFS(FuseServer):
             if vnode is not None:
                 vnode.fs.unpin(vnode.ino)
         return FuseReply(unique=request.unique)
+
+    op_releasedir = op_release
 
     def op_read(self, request: FuseRequest) -> FuseReply:
         vnode = self._vnode(request.nodeid)
@@ -253,31 +244,22 @@ class CntrFS(FuseServer):
                 out.write(vnode.fs.read(vnode.ino, pos, min(granule, offset + size - pos)))
             out.truncate()  # a short read at end of file
             data = out.getvalue()
-        self.cntr_stats.bytes_read += len(data)
         return FuseReply(unique=request.unique, data=data)
 
     def op_write(self, request: FuseRequest) -> FuseReply:
         vnode = self._vnode(request.nodeid)
-        args = request.args
+        offset = request.args["offset"]
         payload = request.payload
-        granule = args.get("granule") or len(payload)
-        written = 0
-        try:
-            if granule >= len(payload):
-                written = vnode.fs.write(vnode.ino, args["offset"], payload)
-            else:
-                # Coalesced dispatch: charge the backing store per wire request.
-                view = memoryview(payload)
-                pos = 0
-                while pos < len(payload):
-                    chunk = view[pos:pos + granule]
-                    written += vnode.fs.write(vnode.ino, args["offset"] + pos,
-                                              bytes(chunk))
-                    pos += len(chunk)
-        finally:
-            # Chunks that landed before a mid-extent failure (ENOSPC) were
-            # written and must be accounted, as a chunked loop would have.
-            self.cntr_stats.bytes_written += written
+        granule = request.args.get("granule") or len(payload)
+        if granule >= len(payload):
+            written = vnode.fs.write(vnode.ino, offset, payload)
+        else:
+            # Coalesced dispatch: charge the backing store per wire request.
+            view = memoryview(payload)
+            written = 0
+            for pos in range(0, len(payload), granule):
+                written += vnode.fs.write(vnode.ino, offset + pos,
+                                          bytes(view[pos:pos + granule]))
         return FuseReply(unique=request.unique, size=written)
 
     def op_readdir(self, request: FuseRequest) -> FuseReply:
@@ -327,22 +309,6 @@ class CntrFS(FuseServer):
         vnode = self._vnode(request.nodeid)
         vnode.fs.removexattr(vnode.ino, request.args["name"])
         return FuseReply(unique=request.unique)
-
-    def op_access(self, request: FuseRequest) -> FuseReply:
-        # Permission checking is performed by the client VFS against the proxy
-        # attributes with the caller's credentials (default_permissions mode).
-        return FuseReply(unique=request.unique)
-
-    def op_getlk(self, request: FuseRequest) -> FuseReply:
-        return FuseReply(unique=request.unique)
-
-    def op_setlk(self, request: FuseRequest) -> FuseReply:
-        return FuseReply(unique=request.unique)
-
-    def op_lseek(self, request: FuseRequest) -> FuseReply:
-        vnode = self._vnode(request.nodeid)
-        size = vnode.inode().size
-        return FuseReply(unique=request.unique, size=size)
 
     # ------------------------------------------------------ crash bookkeeping
     def crash_snapshot(self, nodeid: int):

@@ -138,7 +138,8 @@ class Ext4Fs(Filesystem):
         replaced = self._peek_child(new_dir, new_name)
         moved = self._inodes.get(ino) if ino is not None else None
         super().rename(old_dir, old_name, new_dir, new_name, flags)
-        if ino is not None:
+        # A rename onto the source's own inode changed nothing: no record.
+        if ino is not None and ino != replaced:
             self.journal.record(
                 "rename", old_dir=old_dir, old_name=old_name, new_dir=new_dir,
                 new_name=new_name, ino=ino,
@@ -223,8 +224,10 @@ class Ext4Fs(Filesystem):
         on a checkpointed (clean) filesystem."""
         if self.journal.uncheckpointed_txns:
             self.clock.advance(self.costs.journal_commit_ns)
-            self.tracer.record(self.clock.now_ns, self.fs_type, "replay",
-                               self.costs.journal_commit_ns)
+            tracer = self.tracer
+            if tracer.active:
+                tracer.emit(self.clock.now_ns, f"{self.fs_type}.replay",
+                            self.costs.journal_commit_ns)
         self._inodes = self.journal.replay(fs_name=self.name,
                                            store_data=self.store_data)
         if ROOT_INO not in self._inodes:
@@ -241,7 +244,7 @@ class Ext4Fs(Filesystem):
         self.clock.advance(cost)
         tracer = self.tracer
         if tracer.active:
-            tracer.record(self.clock.now_ns, self.fs_type, op, cost)
+            tracer.emit(self.clock.now_ns, f"{self.fs_type}.{op}", cost)
         self._dirty_metadata += 1
 
     def _charge_read(self, ino: int, offset: int, size: int) -> None:
@@ -273,8 +276,10 @@ class Ext4Fs(Filesystem):
             # The device pays the seek/stream cost and its BDI's read-
             # bandwidth shaping (0 = unshaped, the default).
             self.device.read(offset, fetch_pages * page)
-        self.tracer.record(self.clock.now_ns, self.fs_type, "read", int(hit_cost),
-                           detail=f"hits={hits} misses={misses}")
+        tracer = self.tracer
+        if tracer.active:
+            tracer.emit(self.clock.now_ns, f"{self.fs_type}.read", hit_cost,
+                        hits=hits, misses=misses)
 
     def _charge_write(self, ino: int, offset: int, size: int) -> None:
         if size <= 0:
@@ -284,8 +289,10 @@ class Ext4Fs(Filesystem):
         cost = int(self.costs.page_cache_hit_per_byte_ns * size
                    + self.costs.metadata_op_ns * 0.1)
         self.clock.advance(cost)
-        self.tracer.record(self.clock.now_ns, self.fs_type, "write", int(cost),
-                           detail=f"dirtied={dirtied}")
+        tracer = self.tracer
+        if tracer.active:
+            tracer.emit(self.clock.now_ns, f"{self.fs_type}.write", cost,
+                        dirtied=dirtied)
         # The engine accounts newly dirtied bytes and runs the flusher
         # threads against the vm.dirty_* thresholds; only then may memory
         # pressure react, so reclaim always sees the pending counters.
@@ -310,7 +317,7 @@ class Ext4Fs(Filesystem):
         if tracer.active:
             tracer.emit(self.clock.now_ns, "journal.commit",
                         fs=self.name, reason="fsync")
-        tracer.record(self.clock.now_ns, self.fs_type, "fsync", nbytes)
+            tracer.emit(self.clock.now_ns, f"{self.fs_type}.fsync", nbytes)
 
     def _writeback_flush(self, items, reason: str) -> None:
         """Writeback price of this filesystem, paid when the engine flushes.
@@ -333,7 +340,9 @@ class Ext4Fs(Filesystem):
         if nbytes:
             self.device.write(0, nbytes)
             self.page_cache.clean()
-        self.tracer.record(self.clock.now_ns, self.fs_type, "writeback", nbytes)
+        tracer = self.tracer
+        if tracer.active:
+            tracer.emit(self.clock.now_ns, f"{self.fs_type}.writeback", nbytes)
 
     def _capture_durable_data(self, items) -> None:
         """Ordered mode: data that was written back is durable.  Snapshot each
@@ -347,8 +356,8 @@ class Ext4Fs(Filesystem):
 
     def _flush_all(self, reason: str) -> None:
         """Flush everything, recording a writeback trace line even when idle."""
-        if self.writeback.flush(reason=reason) == 0:
-            self.tracer.record(self.clock.now_ns, self.fs_type, "writeback", 0)
+        if self.writeback.flush(reason=reason) == 0 and self.tracer.active:
+            self.tracer.emit(self.clock.now_ns, f"{self.fs_type}.writeback", 0)
 
     def sync(self) -> None:
         """``sync(2)``: flush dirty pages and commit the journal."""

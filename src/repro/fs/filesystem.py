@@ -143,19 +143,25 @@ class Filesystem:
     def _charge_metadata(self, op: str) -> None:
         """Charge the virtual-time cost of one metadata operation."""
         self.clock.advance(self.costs.tmpfs_op_ns)
-        self.tracer.record(self.clock.now_ns, self.fs_type, op, self.costs.tmpfs_op_ns)
+        tracer = self.tracer
+        if tracer.active:
+            tracer.emit(self.clock.now_ns, f"{self.fs_type}.{op}", self.costs.tmpfs_op_ns)
 
     def _charge_read(self, ino: int, offset: int, size: int) -> None:
         """Charge the cost of reading ``size`` bytes."""
         cost = int(self.costs.tmpfs_per_byte_ns * size + self.costs.tmpfs_op_ns)
         self.clock.advance(cost)
-        self.tracer.record(self.clock.now_ns, self.fs_type, "read", cost)
+        tracer = self.tracer
+        if tracer.active:
+            tracer.emit(self.clock.now_ns, f"{self.fs_type}.read", cost)
 
     def _charge_write(self, ino: int, offset: int, size: int) -> None:
         """Charge the cost of writing ``size`` bytes."""
         cost = int(self.costs.tmpfs_per_byte_ns * size + self.costs.tmpfs_op_ns)
         self.clock.advance(cost)
-        self.tracer.record(self.clock.now_ns, self.fs_type, "write", cost)
+        tracer = self.tracer
+        if tracer.active:
+            tracer.emit(self.clock.now_ns, f"{self.fs_type}.write", cost)
 
     def _charge_fsync(self, ino: int, datasync: bool) -> None:
         """Charge the cost of persisting ``ino``."""
@@ -355,7 +361,10 @@ class Filesystem:
 
         The dentry invalidation happens after the name rebinding succeeds
         (every failure path raises before the first mutation), so failed
-        renames do not wipe the dentry cache.
+        renames do not wipe the dentry cache.  As in Linux's ``vfs_rename``,
+        a target that already names the source inode (the source itself or
+        one of its hard links) makes the rename succeed without changing
+        anything, exchange included.
         """
         self._require_writable()
         self._charge_metadata("rename")
@@ -366,6 +375,8 @@ class Filesystem:
         dst_exists = new_name in dst_dir.entries
         if flags & RenameFlags.RENAME_NOREPLACE and dst_exists:
             raise FsError.eexist(new_name)
+        if dst_exists and dst_dir.entries[new_name] == src_ino:
+            return
         if flags & RenameFlags.RENAME_EXCHANGE:
             if not dst_exists:
                 raise FsError.enoent(new_name)

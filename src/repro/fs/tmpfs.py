@@ -45,7 +45,9 @@ class TmpFS(Filesystem):
         # Nothing to persist: charge only the syscall-ish bookkeeping cost.
         self.writeback.flush(ino, reason=WB_REASON_FSYNC)
         self.clock.advance(self.costs.tmpfs_op_ns)
-        self.tracer.record(self.clock.now_ns, self.fs_type, "fsync", self.costs.tmpfs_op_ns)
+        tracer = self.tracer
+        if tracer.active:
+            tracer.emit(self.clock.now_ns, f"{self.fs_type}.fsync", self.costs.tmpfs_op_ns)
 
     def sync(self) -> None:
         self.writeback.flush()

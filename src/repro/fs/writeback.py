@@ -220,8 +220,8 @@ class BacklogDeviceInfo:
     fetches on the ext4/FUSE read paths (0 = unshaped), and ``read_ahead_kb``
     is the per-device readahead window — the ``/sys/class/bdi/<dev>/
     read_ahead_kb`` knob.  ``None`` (the default) means "the filesystem's own
-    default window" (``default_read_ahead_bytes``: the FUSE mount's exact
-    ``max_readahead``, no readahead for ext4), so untouched devices behave
+    default window" (``default_read_ahead_bytes``: the FUSE client's exact
+    ``MAX_READAHEAD``, no readahead for ext4), so untouched devices behave
     byte-identically to the pre-knob code even for windows that are not
     whole KiB.
     """

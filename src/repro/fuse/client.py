@@ -7,9 +7,9 @@ It reproduces the kernel-side behaviours the paper's optimizations manipulate:
 
 * dentry/attribute caches (cheap repeated lookups once resolved),
 * the page cache, optionally retained across ``open()`` (``FOPEN_KEEP_CACHE``),
-* the writeback cache that coalesces small writes into ``max_write``-sized
+* the writeback cache that coalesces small writes into ``MAX_WRITE``-sized
   WRITE requests (``FUSE_WRITEBACK_CACHE``),
-* readahead-sized READ batching (``FUSE_ASYNC_READ``),
+* readahead-sized READ batching on the background queue (``FUSE_ASYNC_READ``),
 * serialized vs. parallel directory operations (``FUSE_PARALLEL_DIROPS``),
 * batched FORGET requests,
 * splice-based zero-copy transfer on the read and/or write path,
@@ -50,13 +50,21 @@ from repro.fs.writeback import (
 )
 from repro.fuse.device import FuseConnection
 from repro.fuse.options import FuseMountOptions
-from repro.fuse.protocol import FuseAttr, FuseOpcode, FuseReply, FuseRequest
+from repro.fuse.protocol import (OPCODE_NAME, FuseAttr, FuseOpcode, FuseReply,
+                                 FuseRequest)
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.sim.trace import Tracer
 
 #: Number of dropped nodeids accumulated before a BATCH_FORGET is emitted.
 FORGET_BATCH_SIZE = 64
+#: Maximum size of one WRITE request payload (``max_write``).
+MAX_WRITE = 128 * 1024
+#: Readahead window negotiated at INIT time (``max_readahead``); it seeds the
+#: mount's per-device BDI knob (``/sys/class/bdi/<dev>/read_ahead_kb``), which
+#: is what the read path actually consults — retuning the device knob at
+#: runtime overrides this mount-time value, as on Linux.
+MAX_READAHEAD = 128 * 1024
 
 
 class FuseClientFs(Filesystem):
@@ -89,11 +97,10 @@ class FuseClientFs(Filesystem):
         #: The FUSE connection is this filesystem's "backing device"; its BDI
         #: shapes writeback flushes (and, with a read bandwidth, cache-miss
         #: fetches) when given a modelled bandwidth.  Its readahead window
-        #: defaults to the mount's exact max_readahead and is retunable per
-        #: device through /sys/class/bdi/<dev>/read_ahead_kb.
-        self.bdi = BacklogDeviceInfo(
-            f"{name}-fuse-conn",
-            default_read_ahead_bytes=self.options.max_readahead)
+        #: defaults to exactly MAX_READAHEAD and is retunable per device
+        #: through /sys/class/bdi/<dev>/read_ahead_kb.
+        self.bdi = BacklogDeviceInfo(f"{name}-fuse-conn",
+                                     default_read_ahead_bytes=MAX_READAHEAD)
         #: The unified writeback engine; the default background threshold is
         #: the seed's aggregation limit, so flush points are byte-identical.
         self.writeback = WritebackEngine(
@@ -119,11 +126,9 @@ class FuseClientFs(Filesystem):
     def _send_init(self) -> None:
         request = FuseRequest(FuseOpcode.INIT, nodeid=1,
                               args={"options": self.options})
-        self.connection.attach_options = self.options
-        # Negotiate the bounded background queue (max_background /
-        # congestion_threshold); the default 0 leaves it unmodelled.
-        self.connection.configure_queue(self.options.max_background,
-                                        self.options.congestion_threshold)
+        # Negotiate the bounded background queue; the default 0 leaves it
+        # unmodelled.
+        self.connection.configure_queue(self.options.max_background)
         self.connection.request(request)
         self.connection.mark_mounted()
         # Fetch the real root attributes from the server.
@@ -131,17 +136,13 @@ class FuseClientFs(Filesystem):
         if reply.attr is not None:
             self._update_proxy(1, reply.attr)
 
-    def _request_overhead(self, dirop: bool, payload: int, received: int) -> float:
-        return self._batched_overhead(1, dirop, payload, received)
-
-    def _batched_overhead(self, nreq: int, dirop: bool, payload: int,
-                          received: int) -> float:
+    def _overhead(self, nreq: int, dirop: bool, payload: int, received: int) -> float:
         """Protocol cost of ``nreq`` requests transferring ``payload`` /
         ``received`` bytes in total.
 
-        This is the arithmetic (O(1)) form of charging ``_request_overhead``
-        once per ``max_read``/``max_write``-sized chunk: the per-request fixed
-        costs (queueing, small reply, dirop serialization, thread contention,
+        This is the arithmetic (O(1)) form of charging one request per
+        ``max_read``/``MAX_WRITE``-sized chunk: the per-request fixed costs
+        (queueing, small reply, dirop serialization, thread contention,
         splice pipe setup, splice header peek) scale with ``nreq``, the copy
         and splice byte costs are linear in the totals, so the sum is exact.
         """
@@ -170,42 +171,24 @@ class FuseClientFs(Filesystem):
         return overhead
 
     def _send(self, opcode: FuseOpcode, nodeid: int, args: dict,
-              payload: bytes = b"", payload_size: int | None = None,
-              expected_reply_bytes: int = 0, dirop: bool = False) -> FuseReply:
-        """Send one request, charging the protocol costs, and return the reply."""
-        send_size = payload_size if payload_size is not None else len(payload)
-        overhead = int(self._request_overhead(dirop, send_size, expected_reply_bytes))
-        self.clock.advance(overhead)
-        tracer = self.tracer
-        if tracer.active:
-            tracer.record(self.clock.now_ns, "fuse", opcode.name.lower(), overhead)
-        request = FuseRequest(opcode, nodeid, args=args, payload=payload)
-        reply = self.connection.request(request)
-        if not reply.ok:
-            raise FsError(reply.error)
-        return reply
+              payload: bytes = b"", expected_reply_bytes: int = 0,
+              dirop: bool = False, nreq: int = 1) -> FuseReply:
+        """Send one dispatch standing for ``nreq`` wire requests, charging
+        their protocol costs up front, and return the reply.
 
-    def _send_batched(self, opcode: FuseOpcode, nodeid: int, args: dict, nreq: int,
-                      payload: bytes = b"", expected_reply_bytes: int = 0,
-                      dirop: bool = False) -> FuseReply:
-        """Send one coalesced dispatch standing for ``nreq`` wire requests.
-
-        The protocol costs of all ``nreq`` requests are charged arithmetically
-        up front; the server handles the extent as a single operation but
-        accounts ``nreq`` requests (see :class:`repro.fuse.protocol.FuseRequest`).
-
-        Modelling choice: on an error reply the full batch has already been
-        charged and counted, whereas a chunked loop stopped at the first
-        failing wire request.  Error paths feed no figure, so the (cheaper)
-        arithmetic form keeps its one-shot charge there.
+        The server handles a coalesced extent (``nreq`` > 1) as one operation
+        but accounts ``nreq`` requests (see
+        :class:`repro.fuse.protocol.FuseRequest`).  Modelling choice: on an
+        error reply the whole batch has already been charged and counted,
+        whereas a chunked loop stopped at the first failing wire request.
+        Error paths feed no figure, so the one-shot charge stays there.
         """
-        overhead = int(self._batched_overhead(nreq, dirop, len(payload),
-                                              expected_reply_bytes))
+        overhead = int(self._overhead(nreq, dirop, len(payload), expected_reply_bytes))
         self.clock.advance(overhead)
         tracer = self.tracer
         if tracer.active:
-            tracer.record(self.clock.now_ns, "fuse", opcode.name.lower(),
-                          overhead, detail=f"coalesced={nreq}")
+            tracer.emit(self.clock.now_ns, f"fuse.{OPCODE_NAME[opcode].lower()}",
+                        overhead, coalesced=nreq)
         request = FuseRequest(opcode, nodeid, args=args, payload=payload,
                               coalesced=nreq)
         reply = self.connection.request(request)
@@ -265,13 +248,9 @@ class FuseClientFs(Filesystem):
 
     def _forget(self, nodeid: int) -> None:
         self._attr_fresh.discard(nodeid)
-        if self.options.batch_forget:
-            self._pending_forgets.append(nodeid)
-            if len(self._pending_forgets) >= FORGET_BATCH_SIZE:
-                self.flush_forgets()
-        else:
-            self.clock.advance(self.costs.fuse_forget_batch_ns)
-            self.connection.request(FuseRequest(FuseOpcode.FORGET, nodeid, args={}))
+        self._pending_forgets.append(nodeid)
+        if len(self._pending_forgets) >= FORGET_BATCH_SIZE:
+            self.flush_forgets()
 
     def flush_forgets(self) -> None:
         """Flush batched FORGET intents (on batch overflow and at unmount).
@@ -458,25 +437,19 @@ class FuseClientFs(Filesystem):
         if size == 0:
             self.clock.advance(self.costs.syscall_ns)
             return b""
-        if self.options.direct_io:
-            hits, misses_bytes = 0, size
-        else:
-            hits, misses = self.page_cache.access(ino, offset, size)
-            misses_bytes = misses * self.costs.page_size
-            if hits:
-                self.clock.advance(int(self.costs.page_cache_hit_per_byte_ns *
-                                       hits * self.costs.page_size))
-        if misses_bytes or self.options.direct_io:
-            # Readahead: with FUSE_ASYNC_READ the kernel issues large
-            # readahead-window requests, so subsequent sequential reads hit
-            # the page cache instead of paying one round trip per call.  The
-            # window is the device's (/sys/class/bdi read_ahead_kb, falling
-            # back to the mount's max_readahead); 0 disables readahead.
+        hits, misses = self.page_cache.access(ino, offset, size)
+        if hits:
+            self.clock.advance(int(self.costs.page_cache_hit_per_byte_ns *
+                                   hits * self.costs.page_size))
+        if misses:
+            # Readahead: the kernel issues large readahead-window requests,
+            # so subsequent sequential reads hit the page cache instead of
+            # paying one round trip per call.  The window is the device's
+            # (/sys/class/bdi read_ahead_kb, MAX_READAHEAD unless retuned);
+            # 0 disables readahead.
             readahead = self.bdi.read_ahead_bytes
-            if self.options.async_read and not self.options.direct_io \
-                    and readahead > 0:
-                fetch_size = max(size, readahead)
-                fetch_size = min(fetch_size, max(0, inode.size - offset))
+            if readahead > 0:
+                fetch_size = min(max(size, readahead), inode.size - offset)
                 granule = readahead
             else:
                 fetch_size = size
@@ -489,15 +462,14 @@ class FuseClientFs(Filesystem):
             # backing filesystem per wire request, exactly as a chunked
             # dispatch loop would have.
             nreq = max(1, -(-fetch_size // granule))
-            if self.options.async_read and not self.options.direct_io \
-                    and readahead > 0:
+            if readahead > 0:
                 # Readahead requests ride the kernel's background queue; a
                 # window larger than max_background congests the submitter.
                 self.connection.submit_background(nreq)
-            reply = self._send_batched(FuseOpcode.READ, ino,
-                                       {"offset": offset, "size": fetch_size,
-                                        "granule": granule},
-                                       nreq, expected_reply_bytes=fetch_size)
+            reply = self._send(FuseOpcode.READ, ino,
+                               {"offset": offset, "size": fetch_size,
+                                "granule": granule},
+                               expected_reply_bytes=fetch_size, nreq=nreq)
             # Read-side BDI shaping: the wire fetch pays bytes/bandwidth on
             # top of the protocol costs (0 = unshaped, the default).
             self.bdi.charge_read(self.clock, fetch_size)
@@ -547,13 +519,11 @@ class FuseClientFs(Filesystem):
             self.page_cache.balance_pressure()
         elif size:
             # Synchronous writes: one coalesced dispatch per extent, with the
-            # max_write-sized request count computed by ceil-div; the granule
+            # MAX_WRITE-sized request count computed by ceil-div; the granule
             # lets the server charge its backing store per wire request.
-            nreq = -(-size // self.options.max_write)
-            self._send_batched(FuseOpcode.WRITE, ino,
-                               {"offset": offset, "size": size,
-                                "granule": self.options.max_write}, nreq,
-                               payload=bytes(data))
+            self._send(FuseOpcode.WRITE, ino,
+                       {"offset": offset, "size": size, "granule": MAX_WRITE},
+                       payload=bytes(data), nreq=-(-size // MAX_WRITE))
             self.page_cache.write(ino, offset, size)
             self.page_cache.balance_pressure()
         inode.data.truncate(max(inode.size, offset + size))
@@ -568,16 +538,16 @@ class FuseClientFs(Filesystem):
         """Writeback price of this filesystem, paid when the engine flushes.
 
         The aggregated flush is charged arithmetically: ceil-div each inode's
-        pending bytes by max_write for the request count, then one linear
+        pending bytes by MAX_WRITE for the request count, then one linear
         transfer cost for the whole extent.
         """
         for node, pending in items:
-            requests = max(1, math.ceil(pending / self.options.max_write))
+            requests = max(1, math.ceil(pending / MAX_WRITE))
             # The flusher queues the whole inode batch on the background
             # list before any of it is serviced; admission may stall on the
             # congestion threshold.
             self.connection.submit_background(requests)
-            self.clock.advance(int(self._batched_overhead(requests, False, pending, 0)))
+            self.clock.advance(int(self._overhead(requests, False, pending, 0)))
             self.clock.advance(self.costs.fuse_writeback_flush_ns)
             self.page_cache.clean(node)
             # The flushed bytes are on the server now: the inode's data would
@@ -746,7 +716,3 @@ class FuseClientFs(Filesystem):
         if reply.statfs is not None:
             return reply.statfs
         return super().statfs()
-
-    def fsync_connection_stats(self):
-        """Connection statistics (request counts), for tests and reports."""
-        return self.connection.stats

@@ -173,7 +173,7 @@ class FuseConnection:
         filesystem operations cost while handling the request.
         """
         if self.aborted:
-            raise FsError(107, msg="FUSE connection aborted")  # ENOTCONN
+            raise FsError.enotconn("FUSE connection aborted")
         if self.server is None:
             raise FsError.enotconn("no FUSE server attached")
         tracer = self.kernel.tracer

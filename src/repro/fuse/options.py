@@ -1,7 +1,8 @@
 """FUSE mount options / negotiated INIT flags.
 
-Each boolean corresponds to one of the optimizations the paper describes in
-§3.3 and evaluates individually in §5.2.3 (Figures 3 and 4).  The defaults
+Each field is one a run turns: the §3.3 optimizations the paper evaluates
+individually in §5.2.3 (Figures 3 and 4), the splice-write ablation and the
+bounded background queue of the multi-tenant scale bench.  The defaults
 match the configuration CntrFS ships with: every optimization on except
 splice-write, which the paper measured as a net loss and disabled.
 """
@@ -24,11 +25,6 @@ class FuseMountOptions:
     #: FUSE_PARALLEL_DIROPS: allow concurrent lookups/readdirs (§3.3
     #: "Batching", Figure 3c).
     parallel_dirops: bool = True
-    #: Batched FORGET requests (§3.3 "Batching").
-    batch_forget: bool = True
-    #: FUSE_ASYNC_READ: let the kernel issue multiple concurrent reads /
-    #: readahead batches (§3.3 "Batching").
-    async_read: bool = True
     #: Splice for READ replies (§3.3 "Splicing", Figure 3d).
     splice_read: bool = True
     #: Splice for WRITE requests; disabled by default, as in the paper,
@@ -38,44 +34,16 @@ class FuseMountOptions:
     #: "Multithreading", Figure 4).
     threads: int = 4
     #: Bounded ``/dev/fuse`` background queue (``fuse_conn->max_background``,
-    #: Linux default 12).  0 — the default here — leaves the queue unmodelled
+    #: Linux default 12; writers congest at the Linux default threshold of
+    #: 3/4 of it).  0 — the default here — leaves the queue unmodelled
     #: (legacy unbounded behavior), which keeps single-tenant runs
     #: byte-identical to the pinned figures; the multi-tenant scale bench
     #: opts in explicitly.
     max_background: int = 0
-    #: Depth at which the submitting writer is congestion-stalled
-    #: (``congestion_threshold``, Linux default 3/4 of max_background).
-    #: 0 derives that default from ``max_background``.
-    congestion_threshold: int = 0
-    #: Attribute/entry cache validity; the simulation treats any non-zero
-    #: value as "cache until invalidated".
-    attr_timeout_s: float = 1.0
-    entry_timeout_s: float = 1.0
-    #: Maximum size of one WRITE request payload.
-    max_write: int = 128 * 1024
-    #: Readahead window negotiated at INIT time; it seeds the mount's
-    #: per-device BDI knob (``/sys/class/bdi/<dev>/read_ahead_kb``), which is
-    #: what the read path actually consults — retuning the device knob at
-    #: runtime overrides this mount-time value, as on Linux.
-    max_readahead: int = 128 * 1024
-    #: Allow other users to access the mount (-o allow_other); Cntr needs it
-    #: because the container application may run as a non-root uid.
-    allow_other: bool = True
-    #: Use O_DIRECT-style direct I/O, bypassing the page cache.  Mutually
-    #: exclusive with mmap support, so CntrFS leaves it off (the paper's
-    #: xfstests failure #391 and the AIO-Stress discussion).
-    direct_io: bool = False
 
     def with_overrides(self, **kwargs) -> "FuseMountOptions":
         """Copy with selected options replaced."""
         return replace(self, **kwargs)
-
-    @classmethod
-    def all_optimizations_off(cls) -> "FuseMountOptions":
-        """Baseline configuration with every optimization disabled."""
-        return cls(keep_cache=False, writeback_cache=False, parallel_dirops=False,
-                   batch_forget=False, async_read=False, splice_read=False,
-                   splice_write=False, threads=1)
 
     @classmethod
     def paper_defaults(cls) -> "FuseMountOptions":

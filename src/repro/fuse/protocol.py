@@ -56,12 +56,6 @@ class FuseOpcode(enum.Enum):
     LSEEK = 46
     COPY_FILE_RANGE = 47
 
-#: Opcodes that carry a data payload from the kernel to userspace.
-WRITE_LIKE_OPCODES = frozenset({FuseOpcode.WRITE, FuseOpcode.SETXATTR})
-#: Opcodes that return a data payload from userspace to the kernel.
-READ_LIKE_OPCODES = frozenset({FuseOpcode.READ, FuseOpcode.READDIR,
-                               FuseOpcode.READDIRPLUS, FuseOpcode.GETXATTR,
-                               FuseOpcode.LISTXATTR, FuseOpcode.READLINK})
 #: Opcodes that never receive a reply.
 NO_REPLY_OPCODES = frozenset({FuseOpcode.FORGET, FuseOpcode.BATCH_FORGET})
 #: Opcode -> name, precomputed (``Enum.name`` is a descriptor lookup, too
@@ -94,8 +88,9 @@ class FuseRequest:
     for: the kernel driver batches a large extent transfer (e.g. a readahead
     window split into ``max_read``-sized READs, or a writeback flush split
     into ``max_write``-sized WRITEs) into a single dispatch whose protocol
-    costs were charged arithmetically.  Accounting layers (connection stats,
-    server stats) count ``coalesced`` requests; handlers see one operation.
+    costs were charged arithmetically.  Accounting (the connection's request
+    counts, the server's per-worker counts) counts ``coalesced`` requests;
+    handlers see one operation.
     """
 
     opcode: FuseOpcode

@@ -1,29 +1,26 @@
 """FUSE userspace server base class.
 
 :class:`FuseServer` implements the dispatch loop and the error handling;
-concrete servers (CntrFS in :mod:`repro.core.cntrfs`, the passthrough server
-used by the unit tests) implement the per-opcode handlers.  The server runs
-"in" a particular process (on the host or inside the fat container) — the
-process's mount namespace and credentials determine what the server can see,
-which is the mechanism Cntr uses to export the fat container's files.
+the concrete server (CntrFS in :mod:`repro.core.cntrfs`) implements the
+per-opcode handlers.  The server runs "in" a particular process (on the host
+or inside the fat container) — the process's mount namespace and credentials
+determine what the server can see, which is the mechanism Cntr uses to export
+the fat container's files.
 """
 
 from __future__ import annotations
 
+import errno
 from dataclasses import dataclass, field
 
 from repro.fs.errors import FsError
-from repro.fuse.protocol import (OPCODE_NAME, FuseAttr, FuseOpcode, FuseReply,
-                                 FuseRequest)
+from repro.fuse.protocol import OPCODE_NAME, FuseAttr, FuseReply, FuseRequest
 
 
 @dataclass
 class FuseServerStats:
-    """Server-side accounting."""
+    """Server-side accounting (request counts live on the connection)."""
 
-    handled: int = 0
-    errors: int = 0
-    by_opcode: dict[str, int] = field(default_factory=dict)
     #: Requests picked up by each worker loop (index = worker id).  The
     #: dispatch below hands requests to workers round-robin — the
     #: deterministic stand-in for N threads blocking on ``/dev/fuse`` reads —
@@ -33,6 +30,10 @@ class FuseServerStats:
 
 class FuseServer:
     """Base class for userspace FUSE servers.
+
+    A subclass handles an opcode by defining ``op_<opcode name in lower
+    case>`` (``op_lookup`` for LOOKUP); an opcode without such a method gets
+    an ENOSYS reply, as from a real server that does not implement it.
 
     ``threads`` models the worker loops a real server runs over ``/dev/fuse``:
     each dispatch is attributed to the next loop round-robin (``per_worker``
@@ -44,78 +45,30 @@ class FuseServer:
 
     def __init__(self, threads: int = 4) -> None:
         self.threads = max(1, threads)
-        self.stats = FuseServerStats()
-        self.stats.per_worker = [0] * self.threads
+        self.stats = FuseServerStats(per_worker=[0] * self.threads)
         self._next_worker = 0
-        self._handlers = {
-            FuseOpcode.LOOKUP: self.op_lookup,
-            FuseOpcode.FORGET: self.op_forget,
-            FuseOpcode.BATCH_FORGET: self.op_batch_forget,
-            FuseOpcode.GETATTR: self.op_getattr,
-            FuseOpcode.SETATTR: self.op_setattr,
-            FuseOpcode.READLINK: self.op_readlink,
-            FuseOpcode.SYMLINK: self.op_symlink,
-            FuseOpcode.MKNOD: self.op_mknod,
-            FuseOpcode.MKDIR: self.op_mkdir,
-            FuseOpcode.UNLINK: self.op_unlink,
-            FuseOpcode.RMDIR: self.op_rmdir,
-            FuseOpcode.RENAME: self.op_rename,
-            FuseOpcode.RENAME2: self.op_rename,
-            FuseOpcode.LINK: self.op_link,
-            FuseOpcode.OPEN: self.op_open,
-            FuseOpcode.READ: self.op_read,
-            FuseOpcode.WRITE: self.op_write,
-            FuseOpcode.STATFS: self.op_statfs,
-            FuseOpcode.RELEASE: self.op_release,
-            FuseOpcode.FSYNC: self.op_fsync,
-            FuseOpcode.FSYNCDIR: self.op_fsync,
-            FuseOpcode.FLUSH: self.op_flush,
-            FuseOpcode.SETXATTR: self.op_setxattr,
-            FuseOpcode.GETXATTR: self.op_getxattr,
-            FuseOpcode.LISTXATTR: self.op_listxattr,
-            FuseOpcode.REMOVEXATTR: self.op_removexattr,
-            FuseOpcode.OPENDIR: self.op_opendir,
-            FuseOpcode.READDIR: self.op_readdir,
-            FuseOpcode.READDIRPLUS: self.op_readdir,
-            FuseOpcode.RELEASEDIR: self.op_release,
-            FuseOpcode.ACCESS: self.op_access,
-            FuseOpcode.CREATE: self.op_create,
-            FuseOpcode.FALLOCATE: self.op_fallocate,
-            FuseOpcode.GETLK: self.op_getlk,
-            FuseOpcode.SETLK: self.op_setlk,
-            FuseOpcode.LSEEK: self.op_lseek,
-            FuseOpcode.INIT: self.op_init,
-            FuseOpcode.DESTROY: self.op_destroy,
-        }
+        self._handlers = {}
+        for opcode, name in OPCODE_NAME.items():
+            handler = getattr(self, f"op_{name.lower()}", None)
+            if handler is not None:
+                self._handlers[opcode] = handler
 
-    # --------------------------------------------------------------- dispatch
     def handle(self, request: FuseRequest) -> FuseReply:
         """Dispatch one request to its handler, mapping FsError to an errno reply.
 
         A coalesced dispatch (``request.coalesced > 1``) stands for a batch of
         identical wire requests over one extent; it is handled once but
-        accounted at its full request count, so server-side statistics remain
-        comparable with a per-request dispatch loop.
+        attributed to its worker at its full request count.
         """
-        handler = self._handlers.get(request.opcode)
-        self.stats.handled += request.coalesced
         self.stats.per_worker[self._next_worker] += request.coalesced
         self._next_worker = (self._next_worker + 1) % self.threads
-        name = OPCODE_NAME[request.opcode]
-        self.stats.by_opcode[name] = \
-            self.stats.by_opcode.get(name, 0) + request.coalesced
+        handler = self._handlers.get(request.opcode)
         if handler is None:
-            self.stats.errors += 1
-            return FuseReply(unique=request.unique, error=38)  # ENOSYS
+            return FuseReply(unique=request.unique, error=errno.ENOSYS)
         try:
-            reply = handler(request)
-            if reply is None:
-                reply = FuseReply(unique=request.unique)
-            reply.unique = request.unique
-            return reply
+            return handler(request)
         except FsError as exc:
-            self.stats.errors += 1
-            return FuseReply(unique=request.unique, error=exc.errno or 5)
+            return FuseReply(unique=request.unique, error=exc.errno or errno.EIO)
 
     @staticmethod
     def attr_from_stat(st) -> FuseAttr:
@@ -124,114 +77,3 @@ class FuseServer:
                         uid=st.st_uid, gid=st.st_gid, rdev=st.st_rdev,
                         size=st.st_size, atime_ns=st.st_atime_ns,
                         mtime_ns=st.st_mtime_ns, ctime_ns=st.st_ctime_ns)
-
-    # --------------------------------------------------------------- handlers
-    # Subclasses override these; the defaults return ENOSYS.
-    def _enosys(self, request: FuseRequest) -> FuseReply:
-        return FuseReply(unique=request.unique, error=38)
-
-    def op_init(self, request: FuseRequest) -> FuseReply:
-        """INIT: negotiate protocol features; default accepts everything."""
-        return FuseReply(unique=request.unique)
-
-    def op_destroy(self, request: FuseRequest) -> FuseReply:
-        """DESTROY: the filesystem is being unmounted."""
-        return FuseReply(unique=request.unique)
-
-    def op_forget(self, request: FuseRequest) -> FuseReply:
-        """FORGET: the kernel dropped a reference to a nodeid (no reply)."""
-        return FuseReply(unique=request.unique)
-
-    def op_batch_forget(self, request: FuseRequest) -> FuseReply:
-        """BATCH_FORGET: forget many nodeids at once (no reply)."""
-        return FuseReply(unique=request.unique)
-
-    def op_lookup(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_getattr(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_setattr(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_readlink(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_symlink(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_mknod(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_mkdir(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_unlink(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_rmdir(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_rename(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_link(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_open(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_opendir(self, request: FuseRequest) -> FuseReply:
-        return FuseReply(unique=request.unique)
-
-    def op_read(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_write(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_statfs(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_release(self, request: FuseRequest) -> FuseReply:
-        return FuseReply(unique=request.unique)
-
-    def op_fsync(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_flush(self, request: FuseRequest) -> FuseReply:
-        return FuseReply(unique=request.unique)
-
-    def op_setxattr(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_getxattr(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_listxattr(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_removexattr(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_readdir(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_access(self, request: FuseRequest) -> FuseReply:
-        return FuseReply(unique=request.unique)
-
-    def op_create(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_fallocate(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_getlk(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_setlk(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)
-
-    def op_lseek(self, request: FuseRequest) -> FuseReply:
-        return self._enosys(request)

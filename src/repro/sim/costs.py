@@ -10,7 +10,7 @@ the paper's EC2 testbed in absolute terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass
@@ -20,14 +20,11 @@ class CostModel:
     # --- generic kernel costs -------------------------------------------------
     syscall_ns: int = 300                  # user->kernel->user trap
     context_switch_ns: int = 2_000         # full process context switch
-    wakeup_ns: int = 800                   # waking a blocked thread
-    lock_contention_ns: int = 150          # per contended queue operation
 
     # --- memory / copy costs --------------------------------------------------
     copy_per_byte_ns: float = 0.06         # memcpy through userspace buffers
     splice_per_byte_ns: float = 0.015      # page remapping, no copy
     page_cache_hit_per_byte_ns: float = 0.25   # copy_to_user + accounting
-    page_fault_ns: int = 1_500
 
     # --- in-memory filesystem (tmpfs) costs -----------------------------------
     tmpfs_op_ns: int = 400                 # metadata operation on tmpfs
@@ -56,9 +53,6 @@ class CostModel:
     # --- page / block geometry ---------------------------------------------------
     page_size: int = 4096
     writeback_batch_bytes: int = 128 * 1024   # max aggregation by the writeback cache
-    readahead_bytes: int = 128 * 1024
-
-    extra: dict = field(default_factory=dict)
 
     def copy_cost(self, nbytes: int) -> float:
         """Cost of copying ``nbytes`` through a userspace buffer."""

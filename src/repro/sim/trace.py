@@ -5,17 +5,17 @@ hot-path contract established by the raw-speed work (PR 9):
 
 * **Gating.**  ``tracer.active`` is a plain attribute — true iff full
   tracing is enabled, a per-event filter entry exists, or a subscriber is
-  attached.  Hot call sites read it (or rely on :meth:`Tracer.record`'s
-  first line) and pay one attribute load + branch when observability is
-  off; nothing else runs.  ``enabled`` is now a property whose setter keeps
-  ``active`` in sync, so historical ``tracer.enabled = True`` call sites
-  keep working.
-* **Tracepoints.**  :data:`CORE_TRACEPOINTS` declares the stable, typed
-  probe points (sched switch/throttle, memcg reclaim, writeback flush,
-  journal commit, FUSE dispatch); :meth:`Tracer.emit` formats their fields
-  deterministically and rejects undeclared fields on declared points.
-  Undeclared names may still be emitted — they register dynamically, like
-  ftrace's ``trace_marker``.
+  attached.  Every call site reads it before building the event's fields
+  and pays one attribute load + branch when observability is off; nothing
+  else runs.  ``enabled`` is a property whose setter keeps ``active`` in
+  sync.
+* **Tracepoints.**  :meth:`Tracer.emit` is the one recording call.
+  :data:`CORE_TRACEPOINTS` declares the stable, typed probe points (sched
+  switch/throttle, memcg reclaim, writeback flush, journal commit, FUSE
+  dispatch); ``emit`` formats their fields deterministically and rejects
+  undeclared fields on declared points.  Other names (the per-filesystem
+  ``fs_type.op`` cost events, the FUSE client's ``fuse.<opcode>``) register
+  dynamically as they are first emitted, like ftrace's ``trace_marker``.
 * **Subscribers.**  :meth:`Tracer.attach` registers a callback on one
   tracepoint (or ``"*"`` for all); subscribers see every matching event
   even when collection is off, and never alter the virtual clock.
@@ -33,8 +33,8 @@ from typing import Callable, Iterator
 
 #: The declared tracepoint catalogue: name -> ordered field tuple.  These are
 #: the probes wired into the kernel at fixed sites; dynamically emitted names
-#: (the historical ``fs_type.op`` records) join ``available_events`` as they
-#: are first seen.
+#: (the ``fs_type.op`` cost events) join ``available_events`` as they are
+#: first seen.
 CORE_TRACEPOINTS: dict[str, tuple[str, ...]] = {
     "sched.switch": ("prev", "next"),
     "sched.throttle": ("group", "until_ns"),
@@ -76,7 +76,7 @@ class Tracer:
     Collection (counters + the bounded ring) runs when tracing is enabled
     globally or the event's tracepoint is in the ``set_event`` filter;
     subscriber dispatch runs whenever a matching subscriber is attached.
-    With none of the three, ``record``/``emit`` return after one branch.
+    With none of the three, :meth:`emit` returns after one branch.
     """
 
     def __init__(self, enabled: bool = False, capacity: int | None = 200_000) -> None:
@@ -93,7 +93,6 @@ class Tracer:
         self._event_filter: set[str] = set()
         self._subscribers: dict[str, list[TraceSubscription]] = {}
         self._next_token = 0
-        self._declared: dict[str, tuple[str, ...]] = dict(CORE_TRACEPOINTS)
 
     # ------------------------------------------------------------- gating
     @property
@@ -111,17 +110,9 @@ class Tracer:
                            or self._subscribers)
 
     # -------------------------------------------------------- tracepoints
-    def declare(self, name: str, fields: tuple[str, ...]) -> None:
-        """Declare a typed tracepoint (idempotent for identical fields)."""
-        known = self._declared.get(name)
-        if known is not None and known != fields:
-            raise ValueError(f"tracepoint {name} already declared with fields "
-                             f"{known}, not {fields}")
-        self._declared[name] = fields
-
     def available_events(self) -> list[str]:
         """Every declared or observed tracepoint name, sorted."""
-        names = set(self._declared)
+        names = set(CORE_TRACEPOINTS)
         names.update(self._counts)
         names.update(self._event_filter)
         names.update(k for k in self._subscribers if k != "*")
@@ -177,47 +168,18 @@ class Tracer:
         self._sync_active()
 
     # ---------------------------------------------------------- recording
-    def record(self, timestamp_ns: int, category: str, name: str,
-               cost_ns: int = 0, detail: str = "") -> None:
-        """Record one event (one branch and out when nothing is attached)."""
-        if not self.active:
-            return
-        key = f"{category}.{name}"
-        event = None
-        if self._enabled or key in self._event_filter:
-            self._counts[key] += 1
-            self._costs[key] += int(cost_ns)
-            if self.capacity is not None and len(self._events) >= self.capacity:
-                self.dropped += 1
-                self.dropped_by_key[key] += 1
-            else:
-                event = TraceEvent(timestamp_ns, category, name,
-                                   int(cost_ns), detail)
-                self._events.append(event)
-        subscribers = self._subscribers
-        if subscribers:
-            direct = subscribers.get(key)
-            wildcard = subscribers.get("*")
-            if direct or wildcard:
-                if event is None:
-                    event = TraceEvent(timestamp_ns, category, name,
-                                       int(cost_ns), detail)
-                for sub in direct or ():
-                    sub.callback(event)
-                for sub in wildcard or ():
-                    sub.callback(event)
-
     def emit(self, timestamp_ns: int, name: str, cost_ns: int = 0,
              **fields) -> None:
-        """Fire a named tracepoint with keyword fields.
+        """Fire tracepoint ``name`` (``category.event``) with keyword fields.
 
-        Declared tracepoints render their fields in declaration order and
-        reject unknown ones; undeclared names render fields sorted and
-        register the name dynamically.
+        One branch and out when nothing is attached.  Declared tracepoints
+        render their fields in declaration order and reject unknown ones;
+        undeclared names render fields sorted and register the name
+        dynamically.
         """
         if not self.active:
             return
-        declared = self._declared.get(name)
+        declared = CORE_TRACEPOINTS.get(name)
         if declared is not None:
             unknown = [f for f in fields if f not in declared]
             if unknown:
@@ -228,7 +190,29 @@ class Tracer:
             order = sorted(fields)
         detail = " ".join(f"{f}={fields[f]}" for f in order)
         category, _, event_name = name.partition(".")
-        self.record(timestamp_ns, category, event_name, cost_ns, detail)
+        event = None
+        if self._enabled or name in self._event_filter:
+            self._counts[name] += 1
+            self._costs[name] += int(cost_ns)
+            if self.capacity is not None and len(self._events) >= self.capacity:
+                self.dropped += 1
+                self.dropped_by_key[name] += 1
+            else:
+                event = TraceEvent(timestamp_ns, category, event_name,
+                                   int(cost_ns), detail)
+                self._events.append(event)
+        subscribers = self._subscribers
+        if subscribers:
+            direct = subscribers.get(name)
+            wildcard = subscribers.get("*")
+            if direct or wildcard:
+                if event is None:
+                    event = TraceEvent(timestamp_ns, category, event_name,
+                                       int(cost_ns), detail)
+                for sub in direct or ():
+                    sub.callback(event)
+                for sub in wildcard or ():
+                    sub.callback(event)
 
     # ------------------------------------------------------------ reading
     def events(self, category: str | None = None) -> Iterator[TraceEvent]:

@@ -1,11 +1,11 @@
-"""The generic test group: 209 filesystem regression tests.
+"""The generic test group: 210 filesystem regression tests.
 
 Each test is registered with an xfstests-style number.  Four of them
 (generic/228, generic/375, generic/391, generic/426) reproduce the cases the
 paper reports as failing on CntrFS because of deliberate design decisions
 (RLIMIT_FSIZE not enforced, ACL-aware setgid clearing delegated to the backing
 store, O_DIRECT unsupported in favour of mmap, inodes not exportable by
-handle); the remaining 205 pass on both the native filesystem and CntrFS.
+handle); the remaining 206 pass on both the native filesystem and CntrFS.
 Generic 91-114 harden the writeback/caching surface grown by the
 memory-pressure model: fsync/fdatasync/O_SYNC durability, the procfs
 ``drop_caches`` file, truncate-vs-dirty-pages interactions, rename over open
@@ -40,7 +40,9 @@ decomposition of each resource's stall total into its stall-site counters
 throttling + direct reclaim; io: BDI bandwidth shaping + ``vm.dirty_bytes``
 throttling + FUSE queue congestion), /proc/vmstat and per-cgroup ``io.stat``
 writeback accounting, and the tracefs control files (``set_event`` filters,
-``tracing_on``, the bounded ring's drop counters).
+``tracing_on``, the bounded ring's drop counters).  Generic 210 (group
+``rename``) pins rename onto the source's own inode: a no-op that must
+survive a power failure.
 """
 
 from __future__ import annotations
@@ -3390,6 +3392,34 @@ def test_tracefs_controls_collection(env):
         tracer.clear()
         tracer.clear_events()
         tracer.enabled = False
+
+
+@generic(210, "auto", "quick", "rename")
+def test_rename_onto_the_same_inode(env):
+    """rename(2) onto the source's own inode, by its own name or by one of
+    its hard links, succeeds and changes nothing, as Linux's ``vfs_rename``
+    does.  ``RENAME_NOREPLACE`` still refuses the existing target,
+    ``RENAME_EXCHANGE`` swaps nothing, and both names survive a power failure
+    after the renames were committed."""
+    a, b = env.path("same-ino-a"), env.path("same-ino-b")
+    env.create_file(a, b"one inode, two names")
+    env.sc.link(a, b)
+    ino = env.sc.stat(a).st_ino
+    env.make_durable()
+    env.sc.rename(a, a)
+    env.sc.rename(a, b)
+    env.sc.rename(b, a)
+    env.check_errno(errno.EEXIST, env.sc.rename, a, a, RenameFlags.RENAME_NOREPLACE)
+    env.check_errno(errno.EEXIST, env.sc.rename, a, b, RenameFlags.RENAME_NOREPLACE)
+    env.sc.rename(a, b, RenameFlags.RENAME_EXCHANGE)
+    env.sc.rename(a, a, RenameFlags.RENAME_EXCHANGE)
+    env.make_durable()
+    env.power_fail()
+    for path in (a, b):
+        st = env.sc.stat(path)
+        env.check_equal(st.st_ino, ino, f"{path} still names the inode")
+        env.check_equal(st.st_nlink, 2, f"{path}: both links remain")
+        env.check_equal(env.read_file(path), b"one inode, two names")
 
 
 def tests_by_id() -> dict[str, TestCase]:

@@ -6,9 +6,11 @@ import tracemalloc
 
 import pytest
 
+from repro.core.cntrfs import CntrFS
 from repro.fs.constants import FallocateMode, LockType, OpenFlags
 from repro.fs.errors import FsError
 from repro.fs.tmpfs import TmpFS
+from repro.fuse.client import FuseClientFs
 from repro.fuse.options import FuseMountOptions
 from repro.fuse.protocol import FuseOpcode, FuseRequest
 from repro.kernel.machine import boot
@@ -257,6 +259,28 @@ class TestFuseStack:
         reply = server.handle(FuseRequest(FuseOpcode.BMAP, 1, args={}))
         assert reply.error == errno.ENOSYS
 
+    @pytest.mark.parametrize("closed_before_mount", [True, False],
+                             ids=["aborted", "no-server"])
+    def test_unconnected_fuse_fails_with_enotconn(self, machine, syscalls,
+                                                  closed_before_mount):
+        """Closing ``/dev/fuse`` before mount aborts its connection, and a
+        connection with no server attached is not connected either: mounting
+        on it, or sending it any request, fails with ENOTCONN."""
+        kernel = machine.kernel
+        fd = syscalls.open("/dev/fuse", OpenFlags.O_RDWR)
+        connection = syscalls.process.get_fd(fd).connection
+        if closed_before_mount:
+            connection.attach_server(CntrFS(kernel, syscalls.process))
+            syscalls.close(fd)
+            assert connection.aborted and not connection.mounted
+        with pytest.raises(FsError) as mount_error:
+            FuseClientFs("unconnected", kernel.clock, kernel.costs, connection)
+        assert mount_error.value.errno == errno.ENOTCONN
+        for opcode in FuseOpcode:
+            with pytest.raises(FsError) as request_error:
+                connection.request(FuseRequest(opcode, 1))
+            assert request_error.value.errno == errno.ENOTCONN, opcode
+
     def test_forget_batching(self):
         env = cntrfs_environment()
         sc = env.sc
@@ -276,15 +300,8 @@ class TestMountOptions:
     def test_defaults_match_paper(self):
         options = FuseMountOptions.paper_defaults()
         assert options.keep_cache and options.writeback_cache
-        assert options.parallel_dirops and options.async_read and options.splice_read
+        assert options.parallel_dirops and options.splice_read
         assert not options.splice_write
-
-    def test_all_off_configuration(self):
-        options = FuseMountOptions.all_optimizations_off()
-        assert not any([options.keep_cache, options.writeback_cache,
-                        options.parallel_dirops, options.async_read,
-                        options.splice_read, options.splice_write])
-        assert options.threads == 1
 
     def test_keep_cache_off_invalidates_on_open(self):
         env = cntrfs_environment(options=FuseMountOptions.paper_defaults()

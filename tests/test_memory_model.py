@@ -421,7 +421,7 @@ class TestReadShaping:
         assert twins[0].device.bdi.read_ahead_kb is None
 
     def test_non_kib_max_readahead_window_is_preserved(self, machine):
-        """The FUSE BDI falls back to the mount's *exact* max_readahead —
+        """The FUSE BDI falls back to its *exact* default window —
         odd windows are neither floored to KiB nor silently disabled."""
         from repro.fs.writeback import BacklogDeviceInfo
 

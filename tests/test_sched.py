@@ -570,7 +570,7 @@ class TestFuseBackgroundQueue:
         self._hammer(env, mb=1)
         per_worker = env.server.stats.per_worker
         assert len(per_worker) == 4
-        assert sum(per_worker) == env.server.stats.handled
+        assert sum(per_worker) == env.client.connection.stats.requests_total
         assert all(count > 0 for count in per_worker)
 
 

@@ -180,33 +180,33 @@ class TestCostModel:
 class TestTracer:
     def test_disabled_tracer_records_nothing(self):
         tracer = Tracer(enabled=False)
-        tracer.record(0, "fs", "read", 100)
+        tracer.emit(0, "fs.read", 100)
         assert tracer.count("fs.read") == 0
 
     def test_enabled_tracer_counts_and_costs(self):
         tracer = Tracer(enabled=True)
-        tracer.record(0, "fs", "read", 100)
-        tracer.record(10, "fs", "read", 50)
+        tracer.emit(0, "fs.read", 100)
+        tracer.emit(10, "fs.read", 50)
         assert tracer.count("fs.read") == 2
         assert tracer.total_cost("fs.read") == 150
 
     def test_capacity_limits_event_storage_but_not_counts(self):
         tracer = Tracer(enabled=True, capacity=2)
         for i in range(5):
-            tracer.record(i, "fs", "write", 1)
+            tracer.emit(i, "fs.write", 1)
         assert tracer.count("fs.write") == 5
         assert len(list(tracer.events())) == 2
         assert tracer.dropped == 3
 
     def test_summary_sorted_by_cost(self):
         tracer = Tracer(enabled=True)
-        tracer.record(0, "a", "cheap", 1)
-        tracer.record(0, "a", "expensive", 1000)
+        tracer.emit(0, "a.cheap", 1)
+        tracer.emit(0, "a.expensive", 1000)
         assert tracer.summary()[0][0] == "a.expensive"
 
     def test_clear(self):
         tracer = Tracer(enabled=True)
-        tracer.record(0, "x", "y", 5)
+        tracer.emit(0, "x.y", 5)
         tracer.clear()
         assert tracer.count("x.y") == 0
 

@@ -1,12 +1,12 @@
 """The paper's xfstests generic group, one pytest item per (case, environment).
 
 Cases generic/001-090 plus the four ``PAPER_FAILING_TESTS``: the 94 cases of
-paper §5.1.  ``check_generic_case`` (``tests/conftest.py``) runs each through
-:func:`run_case` on a fresh fork, so a regression names the exact case and
-environment.  The later waves have their own modules:
-``test_xfstests_writeback`` (091-146), ``test_xfstests_crash`` (151-203) and
-``test_xfstests_psi`` (204-209).  The aggregate pass-rate check is
-``benchmarks/test_bench_xfstests.py``.
+paper §5.1, and the rename regression generic/210.  ``check_generic_case``
+(``tests/conftest.py``) runs each through :func:`run_case` on a fresh fork, so
+a regression names the exact case and environment.  The later waves have
+their own modules: ``test_xfstests_writeback`` (091-146),
+``test_xfstests_crash`` (151-203) and ``test_xfstests_psi`` (204-209).  The
+aggregate pass-rate check is ``benchmarks/test_bench_xfstests.py``.
 """
 
 from __future__ import annotations
@@ -17,10 +17,13 @@ from repro.xfstests import harness
 from repro.xfstests.__main__ import main
 from repro.xfstests.generic import GENERIC_TESTS, PAPER_FAILING_TESTS
 
-PAPER_CASES = [case for case in GENERIC_TESTS if not 91 <= case.number <= 209]
+#: Every case no wave module runs.
+CASES = [case for case in GENERIC_TESTS if not 91 <= case.number <= 209]
+PAPER_CASES = [case for case in CASES
+               if case.number <= 90 or case.test_id in PAPER_FAILING_TESTS]
 
 
-@pytest.mark.parametrize("case", PAPER_CASES, ids=lambda case: case.test_id)
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.test_id)
 def test_generic_case(check_generic_case, case):
     check_generic_case(case)
 
@@ -29,9 +32,11 @@ def test_case_census():
     """How the cases are numbered: each row is (what, got, want)."""
     numbers = [case.number for case in GENERIC_TESTS]
     census = [
-        ("registered cases", len(numbers), 209),
-        ("unique case numbers", len(set(numbers)), 209),
+        ("registered cases", len(numbers), 210),
+        ("unique case numbers", len(set(numbers)), 210),
         ("cases of the paper's group", len(PAPER_CASES), 94),
+        ("cases after the paper's group",
+         [case.test_id for case in CASES if case not in PAPER_CASES], ["generic/210"]),
         ("unregistered paper failures",
          sorted(set(PAPER_FAILING_TESTS) - {case.test_id for case in PAPER_CASES}), []),
     ]
