@@ -9,31 +9,27 @@ distance from the paper's (``fig2_log_err``).
 
 import pytest
 
-from repro.bench.harness import run_comparison
 from repro.bench.phoronix import ALL_WORKLOADS
 
 
+@pytest.fixture(scope="module")
+def results(regeneration):
+    """Figure 2 from the session's one regeneration, by workload name."""
+    return {r.workload: r for r in regeneration["fig2"][0]}
+
+
 @pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
-def test_figure2_relative_overhead(workload):
-    result = run_comparison(workload)
+def test_figure2_relative_overhead(workload, results):
+    result = results[workload.name]
     assert result.native_ns > 0 and result.cntr_ns > 0
 
 
-def test_figure2_shape_summary():
+def test_figure2_shape_summary(results):
     """Aggregate shape check: the worst cases and the wins match the paper."""
-    from repro.bench.phoronix import (
-        CompilebenchCreate,
-        CompilebenchRead,
-        Dbench,
-        Fio,
-        PostMark,
-        ThreadedIoWrite,
-    )
-
-    lookups_heavy = [run_comparison(w) for w in
-                     (CompilebenchRead(), CompilebenchCreate(), PostMark())]
-    cache_friendly = run_comparison(Dbench(12, paper_overhead=0.9))
-    writeback_wins = [run_comparison(w) for w in (Fio(), ThreadedIoWrite())]
+    lookups_heavy = [results[name] for name in
+                     ("Compileb.: Read", "Compileb.: Create", "PostMark")]
+    cache_friendly = results["Dbench: 12 Clients"]
+    writeback_wins = [results[name] for name in ("FIO", "Threaded I/O: Write")]
 
     # Lookup-heavy workloads are the worst cases (paper: 13.3x / 7.3x / 7.1x).
     assert all(r.overhead > 2.5 for r in lookups_heavy)

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.bench.harness import figure3_optimization_effects
-
 
 @pytest.fixture(scope="module")
-def effects():
-    return {e.name: e for e in figure3_optimization_effects()}
+def effects(regeneration):
+    """Figure 3 from the session's one regeneration, by panel."""
+    return {e.name: e for e in regeneration["fig3"][0]}
 
 
 def test_figure3_collects_all_four_panels(effects):

@@ -149,11 +149,10 @@ class CntrFS(FuseServer):
         args = request.args
         inode = parent.fs.create(parent.ino, args["name"], args["mode"],
                                  uid=args.get("uid", 0), gid=args.get("gid", 0))
+        # The VFS opens the new file with the OPEN that follows, which holds
+        # the backing inode for the client; CREATE itself pins nothing.
         child = VNode(parent.mount, inode.ino)
-        nodeid = self._register(child)
-        self._open_counts[nodeid] = self._open_counts.get(nodeid, 0) + 1
-        child.fs.pin(child.ino)
-        return FuseReply(unique=request.unique, nodeid=nodeid,
+        return FuseReply(unique=request.unique, nodeid=self._register(child),
                          attr=self._attr_of(child))
 
     def op_unlink(self, request: FuseRequest) -> FuseReply:

@@ -403,7 +403,7 @@ class PageCache:
     def invalidate_all(self) -> None:
         """Drop the whole cache (used when a FUSE mount does not keep caches)."""
         if self.memcg is not None:
-            self.memcg.cache_cleared(self)
+            self.memcg.release(self)
         self._by_ino.clear()
         self._live.clear()
         self._lru_head.nxt = self._lru_tail
@@ -510,8 +510,12 @@ class PageCache:
     # ------------------------------------------------------------- internals
     def _memcg_delta(self, ino: int, delta_pages: int) -> None:
         """Report a residency change of ``ino`` to the memory controller."""
-        if self.memcg is not None and delta_pages:
-            self.memcg.cache_delta(self, ino, delta_pages * self.page_size)
+        memcg = self.memcg
+        if memcg is not None:
+            if delta_pages > 0:
+                memcg.charge(self, ino, delta_pages * self.page_size)
+            elif delta_pages < 0:
+                memcg.uncharge(self, ino, -delta_pages * self.page_size)
 
     def _remove_range(self, ino: int, a: int, b: int) -> list[tuple[int, int, bool]]:
         """Carve ``[a, b)`` out of the inode's extents.

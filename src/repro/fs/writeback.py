@@ -1,11 +1,8 @@
-"""Unified writeback subsystem: one engine for every filesystem's dirty data.
+"""Writeback and the memory model it runs in.
 
-Before this module existed the repository carried three divergent ad-hoc
-writeback paths — the FUSE client's ``_writeback_pending`` byte counters, the
-ext4 model's ``_dirty_bytes`` / ``_background_writeback`` pair and the page
-cache's own flush counting — with no shared threshold model and no way to
-*tune* flush behaviour.  ``WritebackEngine`` centralises the three things they
-all did separately:
+:class:`WritebackEngine` is the writeback mechanism of every filesystem with a
+backing store (ext4 and the FUSE client; tmpfs has none).  It does three
+things:
 
 * **dirty accounting** — per-inode pending byte counters (what has been
   written but whose writeback cost has not been charged yet),
@@ -15,61 +12,57 @@ all did separately:
 * **writeback cost charging** — the engine is the only component that decides
   to flush; the *price* of a flush stays filesystem-specific and is paid in
   the ``flush_fn`` callback each filesystem provides (FUSE protocol costs for
-  the client, device writes for ext4, nothing for tmpfs).
+  the client, device writes for ext4).
 
-Default tunables are chosen per filesystem so that the engine reproduces the
-seed's flush points *exactly* (the hot-path benchmark's ``virtual_ms``
-invariance depends on it): the FUSE client flushes when total pending crosses
-``CostModel.writeback_batch_bytes`` and ext4 when it crosses 256 MiB, exactly
-as their hand-rolled counters did.
+Each filesystem picks default tunables for its own flush points: the FUSE
+client flushes when total pending crosses ``CostModel.writeback_batch_bytes``
+and ext4 when it crosses 256 MiB.  The pinned benchmark figures depend on
+exactly these points.
 
 Tunables are exposed kernel-wide through ``/proc/sys/vm/*`` (see
 :class:`VmSysctl` and :mod:`repro.kernel.procfs`): writing a value applies it
 to every registered engine, the way Linux's global writeback control applies
 to all mounted filesystems.  A value of ``0`` disables that trigger.
 
-Since the memory-pressure model landed, three more pieces live here:
+The memory model the engines run in lives here too:
 
 * :class:`MemInfo` — the simulated kernel's modelled memory size, rendered as
   ``/proc/meminfo`` and the base against which the ``vm.dirty_ratio`` /
   ``vm.dirty_background_ratio`` knobs resolve to byte thresholds.  As in
   Linux, the ``*_bytes`` knobs win whenever they are nonzero.
 * :class:`BacklogDeviceInfo` (BDI) — per-backing-device writeback state.
-  Each engine flushes *through* its device's BDI, which shapes the flush cost
-  by the device's modelled write bandwidth instead of leaving the whole price
-  to the per-fs ``flush_fn``.  The default bandwidth of ``0`` means
-  "unshaped", which reproduces the pre-BDI flush costs exactly.
+  Each engine flushes *through* its device's BDI, which adds the cost of the
+  device's modelled write bandwidth to the per-fs ``flush_fn`` price.  The
+  default bandwidth of ``0`` means "unshaped": no cost is added.
 * ``/proc/sys/vm/drop_caches`` — a writable procfs file (1 = page cache,
-  2 = dentries/inodes, 3 = both) applied to every registered filesystem, so
-  experiments no longer reach around procfs to call ``fs.drop_caches()``.
-
-The memory-pressure *reclaim* subsystem closes the loop between the memory
-model and the caches it governs (see PERFORMANCE.md "Reclaim and read
-shaping"):
-
+  2 = dentries/inodes, 3 = both) applied to every registered filesystem.
 * **budget** — with ``MemInfo.reclaim_enabled`` the registered page caches
   collectively draw from one budget,
   ``total_bytes − reserved_bytes − Dirty`` (exactly the rendered
-  ``MemAvailable``), so ``MemFree`` can never go negative;
-* **global LRU reclaim** — growth beyond the budget evicts the globally
-  oldest extents across *all* registered filesystems (their caches share one
+  ``MemAvailable``), so ``MemFree`` can never go negative.
+* **LRU reclaim** — :func:`reclaim_lru` evicts the oldest extents across
+  the registered filesystems (their caches share one
   :class:`repro.fs.pagecache.SeqCounter`), dropping clean pages and flushing
   dirty ones through the owning :class:`WritebackEngine` first
-  (``WB_REASON_RECLAIM``), the kernel's shrink_page_list order;
+  (``WB_REASON_RECLAIM``), the kernel's shrink_page_list order.
+  :meth:`VmSysctl.balance` runs it against the kernel-wide budget and
+  :class:`repro.kernel.memcg.MemcgController` against a cgroup's
+  ``memory.max``, restricted to the inodes that cgroup owns.
 * **dcache pressure** — each reclaim pass accumulates
   ``vm.vfs_cache_pressure`` points of debt; every 100 points shrinks one
   registered filesystem's dentry cache (round-robin), so ``0`` never
-  reclaims dentries and ``200`` shrinks twice per pass;
+  reclaims dentries and ``200`` shrinks twice per pass.
 * **periodic flusher** — ``vm.dirty_writeback_centisecs`` arms a virtual
   clock timer per engine (``kupdate``): every period the engine writes back
   dirty data older than ``dirty_expire_centisecs`` (or the period itself
   when expiry is disabled) with *no write activity required*.  ``0`` (the
-  default) disables the wakeup, reproducing the write-driven-only seed.
+  default) disables the wakeup, so flushing is driven by writes alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.fs.errors import FsError
@@ -242,7 +235,7 @@ class BacklogDeviceInfo:
         self.default_read_ahead_bytes = default_read_ahead_bytes
         self.stats = BdiStats()
         #: Observability hooks: shaping time reports as I/O pressure through
-        #: ``psi`` (installed by :meth:`VmSysctl.register`) and device reads
+        #: ``psi`` (installed by :meth:`VmSysctl.register_fs`) and device reads
         #: report to the memory controller's ``io.stat`` accounting
         #: (installed by ``MemcgController.register_fs``).  Both optional.
         self.psi: "PsiRegistry | None" = None
@@ -339,20 +332,15 @@ class WritebackEngine:
     def __init__(self, name: str, tunables: VmTunables,
                  flush_fn: Callable[[list[tuple[int, int]], str], None],
                  clock: VirtualClock | None = None,
-                 sysctl_tunable: bool = True,
                  meminfo: MemInfo | None = None,
                  bdi: BacklogDeviceInfo | None = None) -> None:
         self.name = name
         self.tunables = tunables
         self.flush_fn = flush_fn
         self.clock = clock
-        #: tmpfs-style engines keep dirty accounting but have no backing
-        #: store; /proc/sys/vm writes do not retune them (as in Linux, where
-        #: tmpfs pages are not subject to the writeback control).
-        self.sysctl_tunable = sysctl_tunable
         #: Modelled memory the ratio knobs resolve against; assigned by
-        #: :meth:`VmSysctl.register` so every engine shares the kernel's one
-        #: MemInfo.  Without it ratios read as disabled.
+        #: :meth:`VmSysctl.register_fs` so every engine shares the kernel's
+        #: one MemInfo.  Without it ratios read as disabled.
         self.meminfo = meminfo
         #: The backing device's writeback state; flushes are shaped by its
         #: modelled write bandwidth (None or bandwidth 0 = unshaped).
@@ -362,9 +350,9 @@ class WritebackEngine:
         #: and writers over ``memory.high`` are stalled.  ``None`` (the
         #: default) keeps the engine outside any cgroup accounting.
         self.memcg = None
-        #: Observability hooks (``VmSysctl.register`` installs both on
-        #: tunable engines): dirty-limit writer stalls report as I/O
-        #: pressure; flushes fire the ``writeback.flush`` tracepoint.
+        #: Observability hooks (``VmSysctl.register_fs`` installs both):
+        #: dirty-limit writer stalls report as I/O pressure; flushes fire the
+        #: ``writeback.flush`` tracepoint.
         self.psi: "PsiRegistry | None" = None
         self.tracer: "Tracer | None" = None
         self.stats = WritebackStats()
@@ -446,7 +434,7 @@ class WritebackEngine:
         self._total -= dropped
         self.stats.discarded_bytes += dropped
         if self.memcg is not None:
-            self.memcg.dirty_discarded(self, ino, dropped)
+            self.memcg.uncharge(self, ino, dropped, dirty=True)
         return dropped
 
     def crash_discard(self) -> int:
@@ -525,8 +513,8 @@ class WritebackEngine:
     def retune(self) -> None:
         """Re-apply tunables that need active re-arming (the periodic flusher).
 
-        Called by :meth:`VmSysctl.set`/:meth:`VmSysctl.register` after knob
-        writes; cheap enough to call unconditionally.
+        Called by :meth:`VmSysctl.set`/:meth:`VmSysctl.register_fs` after
+        knob writes; cheap enough to call unconditionally.
         """
         self._arm_periodic_flusher()
 
@@ -602,6 +590,57 @@ class ReclaimStats:
         return self.pages_dropped + self.pages_flushed
 
 
+def reclaim_lru(filesystems: "list[Filesystem]", excess: Callable[[], int],
+                stats, filters: dict | None = None) -> int:
+    """Evict LRU-oldest page-cache extents until ``excess()`` is not positive.
+
+    The one reclaim loop of the kernel-wide budget (:meth:`VmSysctl.balance`)
+    and of per-cgroup limits (``MemcgController``).  Each round picks the
+    oldest extent across the filesystems' page caches (they share one
+    sequence counter) and evicts up to ``excess()`` bytes of it: clean pages
+    are dropped, a dirty victim is flushed through its filesystem's engine
+    first (``WB_REASON_RECLAIM``).  A flush shrinks ``Dirty``, so ``excess``
+    is re-read every round.  ``filters`` maps a page cache to a predicate
+    over inode numbers that restricts its victims; without it every extent
+    is a candidate.  The loop stops early when nothing more can be freed.
+
+    ``stats`` is the caller's :class:`ReclaimStats` or ``MemcgStats``: its
+    page counts grow per round, and ``reclaims``/``bytes_reclaimed`` once
+    per call that freed something.  Returns the bytes freed.
+    """
+    freed = 0
+    while True:
+        want = excess()
+        if want <= 0:
+            break
+        victim = victim_filter = None
+        best_seq = None
+        for fs in filesystems:
+            cache = getattr(fs, "page_cache", None)
+            if cache is None:
+                continue
+            ino_filter = None if filters is None else filters[cache]
+            seq = cache.oldest_seq(ino_filter=ino_filter)
+            if seq is not None and (best_seq is None or seq < best_seq):
+                best_seq, victim, victim_filter = seq, fs, ino_filter
+        if victim is None:
+            break
+        cache = victim.page_cache
+        flush_inode = partial(victim.writeback.flush, reason=WB_REASON_RECLAIM)
+        clean, flushed = cache.reclaim_oldest(-(-want // cache.page_size),
+                                              flush_inode,
+                                              ino_filter=victim_filter)
+        if clean == 0 and flushed == 0:
+            break
+        stats.pages_dropped += clean
+        stats.pages_flushed += flushed
+        freed += (clean + flushed) * cache.page_size
+    if freed:
+        stats.reclaims += 1
+        stats.bytes_reclaimed += freed
+    return freed
+
+
 class VmSysctl:
     """The kernel-wide ``/proc/sys/vm`` knobs and the memory model behind them.
 
@@ -610,7 +649,7 @@ class VmSysctl:
     page cache joins the shared LRU age space and memory budget, its BDI
     appears under ``/sys/class/bdi`` and the filesystem itself becomes
     reachable from ``/proc/sys/vm/drop_caches``.  Writing a knob applies it
-    to every registered tunable engine at once, like Linux's single global
+    to every registered engine at once, like Linux's single global
     writeback control.  Until a knob is written it reads as ``0``, meaning
     "each filesystem uses its own default thresholds" (``vfs_cache_pressure``
     defaults to Linux's 100 instead).
@@ -638,12 +677,12 @@ class VmSysctl:
     def __init__(self, meminfo: MemInfo | None = None) -> None:
         self.meminfo = meminfo or MemInfo()
         #: The cgroup memory controller (``Kernel.memcg``); when set,
-        #: filesystem registration also wires each page cache and tunable
-        #: engine into the per-cgroup charge accounting.
+        #: filesystem registration also wires each page cache and engine into
+        #: the per-cgroup charge accounting.
         self.memcg = None
         #: Observability registries (``Kernel.psi`` / ``Kernel.tracer``);
-        #: when set, filesystem registration propagates them to each tunable
-        #: engine and its BDI so stall sites report pressure and flushes fire
+        #: when set, filesystem registration propagates them to each engine
+        #: and its BDI so stall sites report pressure and flushes fire
         #: tracepoints.  Both optional.
         self.psi: "PsiRegistry | None" = None
         self.tracer: "Tracer | None" = None
@@ -664,66 +703,36 @@ class VmSysctl:
         self._dcache_rr = 0
 
     # ------------------------------------------------------------ registration
-    def register(self, engine: WritebackEngine) -> None:
-        """Attach an engine to the kernel-wide knobs (idempotent)."""
-        if not engine.sysctl_tunable:
-            # Outside the /proc/sys/vm control, but its kupdate timer (when
-            # its private tunables enable one) still follows the mount
-            # lifecycle: re-arm on (re)mount, mirroring the unconditional
-            # disarm in :meth:`unregister`.
-            engine.retune()
-            return
-        if engine in self._engines:
-            return
-        self._engines.append(engine)
-        engine.meminfo = self.meminfo
-        engine.psi = self.psi
-        engine.tracer = self.tracer
-        if engine.bdi is not None:
-            engine.bdi.psi = self.psi
-        for knob, value in self._overrides.items():
-            if knob in self.ENGINE_KNOBS:
-                setattr(engine.tunables, knob, value)
-        engine.retune()
-        if engine.bdi is not None and \
-                self._bdis.get(engine.bdi.name) is not engine.bdi:
-            # Disambiguate colliding device names (two mounts constructed
-            # with the same fs name) so every live device stays reachable
-            # from /sys/class/bdi; the BDI's own name follows its sysfs key.
-            name, n = engine.bdi.name, 1
-            while engine.bdi.name in self._bdis:
-                engine.bdi.name = f"{name}-{n}"
-                n += 1
-            self._bdis[engine.bdi.name] = engine.bdi
-
-    def unregister(self, engine: WritebackEngine) -> None:
-        """Detach an engine (unmount)."""
-        if engine in self._engines:
-            self._engines.remove(engine)
-        # Disarm unconditionally: an engine outside the sysctl set (tmpfs
-        # style, or one registered while a knob snapshot was outstanding)
-        # still owns a clock timer when its tunables enable the periodic
-        # flusher, and a detached engine must never keep firing on — and
-        # charging flush costs into — the shared clock.
-        engine.disarm_periodic_flusher()
-        if engine.psi is self.psi:
-            engine.psi = None
-        if engine.tracer is self.tracer:
-            engine.tracer = None
-        if engine.bdi is not None:
-            if engine.bdi.psi is self.psi:
-                engine.bdi.psi = None
-            if self._bdis.get(engine.bdi.name) is engine.bdi:
-                del self._bdis[engine.bdi.name]
-
     def register_fs(self, fs: "Filesystem") -> None:
-        """Register a mounted filesystem: drop_caches reach, engine knobs,
-        shared LRU age space and the kernel-wide memory budget."""
-        if fs not in self._filesystems:
-            self._filesystems.append(fs)
+        """Register a mounted filesystem (idempotent): drop_caches reach, its
+        engine under the kernel-wide knobs, its BDI under ``/sys/class/bdi``,
+        its page cache in the shared LRU age space and memory budget."""
+        if fs in self._filesystems:
+            return
+        self._filesystems.append(fs)
         engine = getattr(fs, "writeback", None)
         if engine is not None:
-            self.register(engine)
+            self._engines.append(engine)
+            engine.meminfo = self.meminfo
+            engine.psi = self.psi
+            engine.tracer = self.tracer
+            for knob, value in self._overrides.items():
+                if knob in self.ENGINE_KNOBS:
+                    setattr(engine.tunables, knob, value)
+            engine.retune()
+            bdi = engine.bdi
+            if bdi is not None:
+                bdi.psi = self.psi
+                if self._bdis.get(bdi.name) is not bdi:
+                    # Disambiguate colliding device names (two mounts
+                    # constructed with the same fs name) so every live device
+                    # stays reachable from /sys/class/bdi; the BDI's own name
+                    # follows its sysfs key.
+                    name, n = bdi.name, 1
+                    while bdi.name in self._bdis:
+                        bdi.name = f"{name}-{n}"
+                        n += 1
+                    self._bdis[bdi.name] = bdi
         cache = getattr(fs, "page_cache", None)
         if cache is not None:
             cache.share_seq_counter(self._page_seq)
@@ -737,7 +746,21 @@ class VmSysctl:
             self._filesystems.remove(fs)
         engine = getattr(fs, "writeback", None)
         if engine is not None:
-            self.unregister(engine)
+            if engine in self._engines:
+                self._engines.remove(engine)
+            # A detached engine must never keep firing on — and charging
+            # flush costs into — the shared clock; remounting re-arms it.
+            engine.disarm_periodic_flusher()
+            if engine.psi is self.psi:
+                engine.psi = None
+            if engine.tracer is self.tracer:
+                engine.tracer = None
+            bdi = engine.bdi
+            if bdi is not None:
+                if bdi.psi is self.psi:
+                    bdi.psi = None
+                if self._bdis.get(bdi.name) is bdi:
+                    del self._bdis[bdi.name]
         cache = getattr(fs, "page_cache", None)
         if cache is not None and cache.pressure is self:
             cache.pressure = None
@@ -831,56 +854,21 @@ class VmSysctl:
     def balance(self) -> int:
         """Reclaim until the page caches fit the memory budget.
 
-        Called by every registered page cache after growth.  Victims are the
-        globally LRU-oldest extents across all registered filesystems (their
-        caches share one sequence counter): clean pages are dropped, dirty
-        pages are flushed through the owning engine first
-        (``WB_REASON_RECLAIM``) — which also shrinks ``Dirty`` and thereby
-        *grows* the live budget, so the loop re-reads both every iteration.
-        Each pass that reclaimed something accumulates ``vfs_cache_pressure``
-        dcache-shrink debt.  Returns the bytes reclaimed.
+        Called by every registered page cache after growth.  Runs
+        :func:`reclaim_lru` over every registered filesystem against the live
+        budget; a pass that reclaimed something accumulates
+        ``vfs_cache_pressure`` dcache-shrink debt.  Returns the bytes
+        reclaimed.
         """
-        if self._balancing:
-            return 0
-        budget = self.cache_budget_bytes()
-        if budget is None or self.cached_bytes_total() <= budget:
+        if self._balancing or not self.meminfo.reclaim_enabled:
             return 0
         self._balancing = True
         try:
-            freed = 0
-            while True:
-                budget = self.cache_budget_bytes()
-                excess = self.cached_bytes_total() - budget
-                if excess <= 0:
-                    break
-                victim = None
-                best_seq = None
-                for fs in self._filesystems:
-                    cache = getattr(fs, "page_cache", None)
-                    if cache is None:
-                        continue
-                    seq = cache.oldest_seq()
-                    if seq is not None and (best_seq is None or seq < best_seq):
-                        best_seq, victim = seq, fs
-                if victim is None:
-                    break
-                cache = victim.page_cache
-                engine = getattr(victim, "writeback", None)
-
-                def flush_inode(ino: int, _engine=engine) -> None:
-                    if _engine is not None:
-                        _engine.flush(ino, reason=WB_REASON_RECLAIM)
-
-                want = -(-excess // cache.page_size)
-                clean, flushed = cache.reclaim_oldest(want, flush_inode)
-                if clean == 0 and flushed == 0:
-                    break
-                self.reclaim_stats.pages_dropped += clean
-                self.reclaim_stats.pages_flushed += flushed
-                freed += (clean + flushed) * cache.page_size
+            freed = reclaim_lru(
+                self._filesystems,
+                lambda: self.cached_bytes_total() - self.cache_budget_bytes(),
+                self.reclaim_stats)
             if freed:
-                self.reclaim_stats.reclaims += 1
-                self.reclaim_stats.bytes_reclaimed += freed
                 self._shrink_dcache()
             return freed
         finally:
@@ -907,7 +895,7 @@ class VmSysctl:
 
     # ------------------------------------------------------------ /proc/meminfo
     def dirty_bytes_total(self) -> int:
-        """Unflushed dirty bytes across every tunable engine (``Dirty:``)."""
+        """Unflushed dirty bytes across every registered engine (``Dirty:``)."""
         return sum(engine.total_pending for engine in self._engines)
 
     def cached_bytes_total(self) -> int:

@@ -9,6 +9,7 @@ programs that compose the primitives exposed by this class.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from typing import Callable
 
 from repro.fs.errors import FsError
@@ -357,8 +358,10 @@ class Kernel:
         same object graph).  Each :meth:`KernelSnapshot.fork` then yields an
         independent copy-on-boot clone, which is ~2x cheaper than a fresh
         :func:`repro.kernel.machine.boot` and skips all environment setup
-        replay.  The parent kernel is never touched: the deepcopy taken here
-        is itself a private copy, and forks copy from it, not from ``self``.
+        replay.  The parent kernel is never touched: the snapshot is a
+        pickled byte image, and forks unpickle it.  A graph that pickle
+        cannot serialise (a lambda or closure anywhere in it) raises pickle's
+        error here.
         """
         return KernelSnapshot(self, companions)
 
@@ -379,38 +382,21 @@ class KernelSnapshot:
     """A frozen, forkable image of a :class:`Kernel` and its companions.
 
     Built once via :meth:`Kernel.snapshot`, then forked many times.
-    The snapshot holds a private deepcopy of ``(kernel, companions)`` taken at
-    construction; every fork deepcopies *that image*, so clones share nothing
-    with each other or with the original kernel.  Virtual-clock state, RNG
-    stream positions (including :class:`repro.sim.rng.DeterministicRandom`
-    substream derivation seeds) and all filesystem state are preserved
-    exactly, which is what makes snapshot-clone ≡ fresh-boot for the test
-    harnesses.
+    The snapshot holds a pickled byte image of ``(kernel, companions)`` taken
+    at construction; every fork unpickles *that image*, so clones share
+    nothing with each other or with the original kernel.  Virtual-clock
+    state, RNG stream positions (including
+    :class:`repro.sim.rng.DeterministicRandom` substream derivation seeds)
+    and all filesystem state are preserved exactly, which is what makes
+    snapshot-clone ≡ fresh-boot for the test harnesses.
     """
 
     def __init__(self, kernel: Kernel, companions: tuple[object, ...] = ()) -> None:
-        import copy
-        import pickle
-
-        self._blob: bytes | None = None
-        self._image: tuple[Kernel, tuple[object, ...]] | None = None
-        try:
-            # Pickle round-trips the object graph ~4x faster than deepcopy
-            # walks it, so prefer a frozen byte image when the graph allows.
-            self._blob = pickle.dumps((kernel, companions),
-                                      protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            # Graphs holding unpicklable members (test doubles, closures)
-            # still snapshot correctly, just at deepcopy speed.
-            self._image = copy.deepcopy((kernel, companions))
+        self._blob = pickle.dumps((kernel, companions),
+                                  protocol=pickle.HIGHEST_PROTOCOL)
         self.forks = 0
 
     def fork(self) -> tuple[Kernel, tuple[object, ...]]:
         """A fully independent clone: ``(kernel, companions)``."""
-        import copy
-        import pickle
-
         self.forks += 1
-        if self._blob is not None:
-            return pickle.loads(self._blob)
-        return copy.deepcopy(self._image)
+        return pickle.loads(self._blob)

@@ -2,11 +2,11 @@
 
 Cntr moves the processes it injects into the container's cgroup precisely so
 that the debugging tools are subject to the container's resource limits
-(design §3.2.3).  Until this module existed those limits were decorative: the
-PR 4 reclaim subsystem drew every registered page cache from one kernel-wide
-``MemAvailable`` budget, so a greedy container's cache could starve every
-other filesystem.  ``MemcgController`` closes that gap with the three memcg
-mechanisms the conformance wave pins:
+(design §3.2.3).  ``MemcgController`` gives each cgroup its own share of the
+page cache that the kernel-wide ``MemAvailable`` budget
+(:meth:`repro.fs.writeback.VmSysctl.balance`) governs as a whole, so a greedy
+container's cache cannot starve every other filesystem.  It has three
+mechanisms:
 
 * **hierarchical charge/uncharge** — every page entering a registered page
   cache (and every dirty byte entering a registered writeback engine) is
@@ -14,13 +14,13 @@ mechanisms the conformance wave pins:
   the root so ``memory.current`` of an ancestor always covers its subtree.
   Ownership is per inode, first-toucher: the cgroup that first instantiates
   an inode's pages owns all of them until they leave the cache (the model's
-  page-granular stand-in for Linux's per-page ``page->memcg``).
+  page-granular stand-in for Linux's per-page ``page->memcg``).  One ledger
+  holds both kinds of charge, keyed by page cache or by engine.
 * **per-cgroup LRU reclaim** — growth past the tightest ``memory.max`` along
-  the charge path evicts the LRU-oldest extents *owned by that cgroup's
-  subtree* across all registered filesystems, flushing dirty victims through
-  the owning engine first (``WB_REASON_RECLAIM``), exactly like the global
-  reclaim of :meth:`repro.fs.writeback.VmSysctl.balance` — which still runs
-  *after* the memcg pass, enforcing the kernel-wide budget on whatever the
+  the charge path runs :func:`repro.fs.writeback.reclaim_lru`, the loop of
+  the kernel-wide reclaim, restricted to the inodes *owned by that cgroup's
+  subtree*.  The kernel-wide :meth:`repro.fs.writeback.VmSysctl.balance`
+  runs *after* the memcg pass, enforcing the global budget on whatever the
   per-cgroup limits let through.
 * **write throttling** — a writer dirtying data while ``memory.current`` sits
   above ``memory.high`` is stalled for a deterministic
@@ -31,16 +31,15 @@ mechanisms the conformance wave pins:
 
 With no limit set anywhere (the default) the controller is pure bookkeeping:
 it never advances the clock and never reclaims, so the system is
-observationally identical to the PR 4 engine — the property
-``tests/test_memcg.py`` locks down the same way ``reclaim_enabled=False``
-was.
+observationally identical to one without it — the property
+``tests/test_memcg.py`` locks down.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.fs.writeback import WB_REASON_RECLAIM
+from repro.fs.writeback import reclaim_lru
 from repro.kernel.cgroups import Cgroup, CgroupHierarchy, CgroupIoStat
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,8 +67,8 @@ class MemcgController:
 
     One instance lives on the :class:`~repro.kernel.kernel.Kernel`
     (``kernel.memcg``); :class:`~repro.fs.writeback.VmSysctl` forwards
-    filesystem registration so every mounted page cache and tunable writeback
-    engine reports its growth here, exactly as they already report to the
+    filesystem registration so every mounted page cache and writeback engine
+    reports its growth here, exactly as they already report to the
     kernel-wide knobs.
     """
 
@@ -82,18 +81,17 @@ class MemcgController:
         #: attributed to this process's cgroup.
         self._current_pid = 0
         self._filesystems: list["Filesystem"] = []
-        #: cache -> {ino -> owning cgroup} / {ino -> charged bytes}.  Keyed
-        #: by the cache/engine objects themselves (identity hash), not by
-        #: ``id()``: a kernel snapshot deep-copies the whole object graph and
-        #: raw ids do not survive the copy, while object keys are remapped
-        #: consistently by the deepcopy memo.
-        self._cache_owner: dict["PageCache", dict[int, Cgroup]] = {}
-        self._cache_charged: dict["PageCache", dict[int, int]] = {}
-        #: engine -> {ino -> owning cgroup} / {ino -> charged dirty bytes}.
-        self._dirty_owner: dict["WritebackEngine", dict[int, Cgroup]] = {}
-        self._dirty_charged: dict["WritebackEngine", dict[int, int]] = {}
-        #: Cgroups whose charges grew since the last balance pass and that
-        #: have a limit somewhere on their charge path (insertion-ordered).
+        #: The charge ledger.  Each page cache (resident bytes) and each
+        #: engine (dirty bytes) is one key: key -> {ino -> owning cgroup} and
+        #: key -> {ino -> charged bytes}, always over the same inodes.  Keyed
+        #: by the objects themselves (identity hash), not by ``id()``: a
+        #: kernel snapshot pickles the whole object graph and raw ids do not
+        #: survive the round trip, while object keys are rebuilt with it.
+        self._owner: dict[object, dict[int, Cgroup]] = {}
+        self._charged: dict[object, dict[int, int]] = {}
+        #: Cgroups whose resident charges grew since the last balance pass
+        #: and that have a limit somewhere on their charge path
+        #: (insertion-ordered).
         self._pending: dict[Cgroup, None] = {}
         self._balancing = False
         #: Observability hooks, installed by the kernel: the PSI registry
@@ -128,11 +126,7 @@ class MemcgController:
         if cache is not None:
             cache.memcg = self
         engine = getattr(fs, "writeback", None)
-        if engine is not None and engine.sysctl_tunable:
-            # tmpfs-style engines stay out, exactly like they stay out of the
-            # kernel-wide Dirty accounting (VmSysctl only sums tunable
-            # engines), so memory.stat file_dirty and /proc/meminfo Dirty
-            # can never disagree.
+        if engine is not None:
             engine.memcg = self
             if engine.bdi is not None:
                 # Device reads report through the BDI so ``io.stat`` rbytes
@@ -145,27 +139,19 @@ class MemcgController:
             return
         self._filesystems.remove(fs)
         cache = getattr(fs, "page_cache", None)
-        if cache is not None and getattr(cache, "memcg", None) is self:
-            self.cache_cleared(cache)
+        if cache is not None and cache.memcg is self:
+            self.release(cache)
             cache.memcg = None
         engine = getattr(fs, "writeback", None)
-        if engine is not None and getattr(engine, "memcg", None) is self:
-            for ino, nbytes in self._dirty_charged.pop(engine, {}).items():
-                owner = self._dirty_owner.get(engine, {}).get(ino)
-                if owner is not None:
-                    self._walk(owner, -nbytes, dirty=True)
-            self._dirty_owner.pop(engine, None)
+        if engine is not None and engine.memcg is self:
+            self.release(engine, dirty=True)
             engine.memcg = None
-            if engine.bdi is not None and \
-                    getattr(engine.bdi, "memcg", None) is self:
+            if engine.bdi is not None and engine.bdi.memcg is self:
                 engine.bdi.memcg = None
 
     def set_current(self, pid: int) -> None:
         """Record the process whose syscall is executing (charge attribution)."""
         self._current_pid = pid
-
-    def _current_cgroup(self) -> Cgroup:
-        return self.current_cgroup()
 
     # ------------------------------------------------------------ charging
     def _walk(self, cgroup: Cgroup, delta: int, dirty: bool) -> bool:
@@ -193,42 +179,52 @@ class MemcgController:
             node = node.parent
         return limited
 
-    def cache_delta(self, cache: "PageCache", ino: int, delta_bytes: int) -> None:
-        """Page-cache residency of ``ino`` changed by ``delta_bytes``."""
-        if delta_bytes == 0:
-            return
-        owners = self._cache_owner.setdefault(cache, {})
-        charged = self._cache_charged.setdefault(cache, {})
-        if delta_bytes > 0:
-            owner = owners.get(ino)
-            if owner is None:
-                owner = self._current_cgroup()
-                owners[ino] = owner
-            charged[ino] = charged.get(ino, 0) + delta_bytes
-            if self._walk(owner, delta_bytes, dirty=False):
-                self._pending[owner] = None
-            return
+    def charge(self, key: object, ino: int, nbytes: int, dirty: bool = False) -> Cgroup:
+        """Charge ``nbytes`` of ``ino`` under ``key`` to the inode's owner.
+
+        ``key`` is a page cache (resident bytes, ``memory.current``) or, with
+        ``dirty``, a writeback engine (``file_dirty``).  The current cgroup
+        becomes the owner of an inode it is the first to touch.  Returns the
+        owner.
+        """
+        owners = self._owner.get(key)
+        if owners is None:
+            owners = self._owner[key] = {}
+            self._charged[key] = {}
         owner = owners.get(ino)
         if owner is None:
-            return                       # pages predating the memcg wiring
-        have = charged.get(ino, 0)
-        take = min(have, -delta_bytes)
+            owner = owners[ino] = self.current_cgroup()
+        charged = self._charged[key]
+        charged[ino] = charged.get(ino, 0) + nbytes
+        if self._walk(owner, nbytes, dirty) and not dirty:
+            self._pending[owner] = None
+        return owner
+
+    def uncharge(self, key: object, ino: int, nbytes: int, dirty: bool = False) -> None:
+        """Release up to ``nbytes`` of ``ino``'s charge under ``key``.  Bytes
+        that predate the memcg wiring were never charged and are skipped."""
+        owners = self._owner.get(key)
+        owner = owners.get(ino) if owners else None
+        if owner is None:
+            return
+        charged = self._charged[key]
+        have = charged[ino]
+        take = min(have, nbytes)
         if take <= 0:
             return
-        if have - take > 0:
+        if have > take:
             charged[ino] = have - take
         else:
-            charged.pop(ino, None)
-            owners.pop(ino, None)
-        self._walk(owner, -take, dirty=False)
+            del charged[ino]
+            del owners[ino]
+        self._walk(owner, -take, dirty)
 
-    def cache_cleared(self, cache: "PageCache") -> None:
-        """The whole cache was invalidated: release every charge it held."""
-        owners = self._cache_owner.pop(cache, {})
-        for ino, nbytes in self._cache_charged.pop(cache, {}).items():
-            owner = owners.get(ino)
-            if owner is not None:
-                self._walk(owner, -nbytes, dirty=False)
+    def release(self, key: object, dirty: bool = False) -> None:
+        """Uncharge everything held under ``key`` at once (a page cache
+        invalidated whole, or a filesystem unregistered)."""
+        owners = self._owner.pop(key, {})
+        for ino, nbytes in self._charged.pop(key, {}).items():
+            self._walk(owners[ino], -nbytes, dirty)
 
     # ------------------------------------------------------------ dirty + stall
     def note_dirty(self, engine: "WritebackEngine", ino: int, nbytes: int) -> None:
@@ -236,14 +232,7 @@ class MemcgController:
         cgroup sits above ``memory.high`` (balance_dirty_pages semantics)."""
         if nbytes <= 0:
             return
-        owners = self._dirty_owner.setdefault(engine, {})
-        owner = owners.get(ino)
-        if owner is None:
-            owner = self._current_cgroup()
-            owners[ino] = owner
-        charged = self._dirty_charged.setdefault(engine, {})
-        charged[ino] = charged.get(ino, 0) + nbytes
-        self._walk(owner, nbytes, dirty=True)
+        owner = self.charge(engine, ino, nbytes, dirty=True)
         over = self._over_high(owner)
         if over is not None:
             stall = nbytes * self.throttle_ns_per_byte
@@ -276,32 +265,8 @@ class MemcgController:
     def dirty_flushed(self, engine: "WritebackEngine",
                       items: list[tuple[int, int]]) -> None:
         """Pending bytes were written back: uncharge them."""
-        self._dirty_uncharge(engine, items)
-
-    def dirty_discarded(self, engine: "WritebackEngine", ino: int,
-                        nbytes: int) -> None:
-        """Pending bytes were dropped without writeback: uncharge them."""
-        self._dirty_uncharge(engine, [(ino, nbytes)])
-
-    def _dirty_uncharge(self, engine: "WritebackEngine",
-                        items: list[tuple[int, int]]) -> None:
-        owners = self._dirty_owner.get(engine)
-        charged = self._dirty_charged.get(engine)
-        if not owners or charged is None:
-            return
         for ino, nbytes in items:
-            owner = owners.get(ino)
-            if owner is None:
-                continue
-            take = min(charged.get(ino, 0), nbytes)
-            if take <= 0:
-                continue
-            if charged[ino] - take > 0:
-                charged[ino] -= take
-            else:
-                charged.pop(ino, None)
-                owners.pop(ino, None)
-            self._walk(owner, -take, dirty=True)
+            self.uncharge(engine, ino, nbytes, dirty=True)
 
     # ------------------------------------------------------------ enforcement
     def balance(self) -> None:
@@ -357,7 +322,7 @@ class MemcgController:
         harmless.
         """
         owned = set()
-        for ino, owner in self._cache_owner.get(cache, {}).items():
+        for ino, owner in self._owner.get(cache, {}).items():
             walk = owner
             while walk is not None:
                 if walk is node:
@@ -371,44 +336,13 @@ class MemcgController:
         ``memory.current`` fits ``limit`` (or nothing owned remains)."""
         t0 = self.clock.now_ns
         stats = node.memcg_stats
-        freed = 0
-        preds = {}
+        filters = {}
         for fs in self._filesystems:
             cache = getattr(fs, "page_cache", None)
             if cache is not None:
-                preds[cache] = self._owned_pred(cache, node)
-        while node.mem_cache_bytes > limit:
-            victim_fs = None
-            victim_pred = None
-            best_seq = None
-            for fs in self._filesystems:
-                cache = getattr(fs, "page_cache", None)
-                if cache is None:
-                    continue
-                pred = preds[cache]
-                seq = cache.oldest_seq(ino_filter=pred)
-                if seq is not None and (best_seq is None or seq < best_seq):
-                    best_seq, victim_fs, victim_pred = seq, fs, pred
-            if victim_fs is None:
-                break
-            cache = victim_fs.page_cache
-            engine = getattr(victim_fs, "writeback", None)
-
-            def flush_inode(ino: int, _engine=engine) -> None:
-                if _engine is not None:
-                    _engine.flush(ino, reason=WB_REASON_RECLAIM)
-
-            want = -(-(node.mem_cache_bytes - limit) // cache.page_size)
-            clean, flushed = cache.reclaim_oldest(want, flush_inode,
-                                                  ino_filter=victim_pred)
-            if clean == 0 and flushed == 0:
-                break
-            stats.pages_dropped += clean
-            stats.pages_flushed += flushed
-            freed += (clean + flushed) * cache.page_size
-        if freed:
-            stats.reclaims += 1
-            stats.bytes_reclaimed += freed
+                filters[cache] = self._owned_pred(cache, node)
+        freed = reclaim_lru(self._filesystems,
+                            lambda: node.mem_cache_bytes - limit, stats, filters)
         delta = self.clock.now_ns - t0
         stats.reclaim_cost_ns += delta
         if delta > 0:
@@ -429,7 +363,7 @@ class MemcgController:
         charges the transfer time)."""
         if nbytes <= 0:
             return
-        node = self._current_cgroup()
+        node = self.current_cgroup()
         while node is not None:
             row = node.io_stats.get(device)
             if row is None:
@@ -443,7 +377,7 @@ class MemcgController:
         """Writeback hit the device: charge ``io.stat`` wbytes/wios per flushed
         inode to the *dirtying* cgroup (cgroup-writeback attribution), falling
         back to the current cgroup for bytes that predate the memcg wiring."""
-        owners = self._dirty_owner.get(engine, {})
+        owners = self._owner.get(engine, {})
         fallback = None
         for ino, nbytes in items:
             if nbytes <= 0:
@@ -451,7 +385,7 @@ class MemcgController:
             owner = owners.get(ino)
             if owner is None:
                 if fallback is None:
-                    fallback = self._current_cgroup()
+                    fallback = self.current_cgroup()
                 owner = fallback
             node = owner
             while node is not None:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from repro.core.cntrfs import CntrFS
+from repro.core.cntrfs import ROOT_NODEID, CntrFS
 from repro.fs.constants import FallocateMode, LockType, OpenFlags
 from repro.fs.errors import FsError
 from repro.fs.tmpfs import TmpFS
@@ -294,6 +294,28 @@ class TestFuseStack:
             sc.unlink(f"{base}/f{i}")
         client.flush_forgets()
         assert client.connection.stats.forgets_batched >= 64
+
+    def test_created_files_are_freed_on_the_backing_store(self):
+        """CREATE pins nothing: the OPEN that follows holds the backing inode
+        and the one RELEASE at close lets it go, so a created, closed and
+        unlinked file leaves no inode, pin or open count behind."""
+        env = cntrfs_environment()
+        sc = env.sc
+        server = env.fs_under_test.connection.server
+        backing = server._vnode(ROOT_NODEID).fs  # noqa: SLF001 - the export
+
+        def held():
+            return (backing.inode_count(), dict(backing._pins),  # noqa: SLF001
+                    dict(server._open_counts))  # noqa: SLF001
+
+        before = held()
+        for i in range(200):
+            path = f"{env.test_dir}/churn{i}"
+            fd = sc.open(path, OpenFlags.O_CREAT | OpenFlags.O_WRONLY)
+            sc.write(fd, b"x" * 100)
+            sc.close(fd)
+            sc.unlink(path)
+        assert held() == before
 
 
 class TestMountOptions:

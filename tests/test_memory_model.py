@@ -356,29 +356,6 @@ class TestPeriodicFlusher:
         assert extra.writeback._flusher_timer is not None
         syscalls.umount("/mnt/straddled")
 
-    def test_unregister_disarms_non_sysctl_engine(self):
-        """An engine outside the /proc/sys/vm control (tmpfs style) whose
-        private tunables enable the periodic flusher still follows the mount
-        lifecycle: registration re-arms it, unregistration disarms it."""
-        from repro.fs.writeback import VmSysctl, VmTunables, WritebackEngine
-        from repro.sim.clock import VirtualClock
-
-        clock = VirtualClock()
-        engine = WritebackEngine(
-            "private", VmTunables(dirty_writeback_centisecs=5),
-            lambda items, reason: None, clock=clock, sysctl_tunable=False)
-        assert engine._flusher_timer is not None    # armed at construction
-        vm = VmSysctl()
-        vm.register(engine)
-        assert engine not in vm.engines()           # stays outside vm.* knobs
-        assert engine._flusher_timer is not None
-        vm.unregister(engine)
-        assert engine._flusher_timer is None
-        clock.advance(10 * 10_000_000)              # orphan would re-arm here
-        assert engine._flusher_timer is None
-        vm.register(engine)                         # remount re-arms
-        assert engine._flusher_timer is not None
-
 
 class TestReadShaping:
     def test_sysfs_directory_follows_mounts(self, machine, syscalls):

@@ -19,6 +19,9 @@ and perturb what is being compared.
 
 from __future__ import annotations
 
+import pickle
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fs.constants import OpenFlags
@@ -26,6 +29,8 @@ from repro.kernel.machine import boot, boot_forked
 from repro.sim.rng import DeterministicRandom
 
 CREAT_WR = OpenFlags.O_CREAT | OpenFlags.O_WRONLY
+#: A companion pickle cannot serialise: a lambda has no importable name.
+UNPICKLABLE_COMPANION = [lambda: None]
 
 
 def _cgroup_digest(cg) -> list[tuple]:
@@ -168,3 +173,10 @@ class TestSnapshotForkEquivalence:
         machine.syscalls.close(fd)
         _kernel, (clone,) = snap.fork()
         assert _observe(clone.kernel, clone.rootfs) == before
+
+    def test_unpicklable_graph_fails_at_snapshot(self):
+        """A snapshot is a pickled image and nothing else: a companion that
+        cannot be pickled makes ``snapshot()`` raise instead of forking."""
+        machine = boot_forked()
+        with pytest.raises(pickle.PicklingError):
+            machine.kernel.snapshot(machine, UNPICKLABLE_COMPANION)
